@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <new>
 
@@ -115,12 +116,51 @@ void BM_ControlPlaneConvergence(benchmark::State& state) {
   const auto routes = [](const Graph& graph, NodeId self, NodeId dest) {
     return compute_next_hop<BandwidthMetric>(graph, self, dest);
   };
+  std::uint64_t events = 0;
+  std::chrono::nanoseconds converging{0};
   for (auto _ : state) {
     Simulator sim(g, flooding, ans, routes);
+    const auto start = std::chrono::steady_clock::now();
     sim.run_to_convergence();
+    converging += std::chrono::steady_clock::now() - start;
     benchmark::DoNotOptimize(sim.trace().control_bytes);
+    events += sim.queue().processed();
     state.counters["events"] = static_cast<double>(sim.queue().processed());
   }
+  state.counters["nodes"] = static_cast<double>(g.node_count());
+  // Event dispatch cost inside run_to_convergence (construction excluded).
+  state.counters["ns_per_event"] = static_cast<double>(converging.count()) /
+                                   static_cast<double>(events);
+}
+
+// One TC interval on an already-converged network: HELLO refreshes, TC
+// origination and MPR re-flooding continue, but no view changes — the
+// steady-state control-plane cost a long run pays per round. Reports
+// ns/event and allocations per event.
+void BM_QuiescentControlRound(benchmark::State& state) {
+  const Graph g = make_network(static_cast<double>(state.range(0)));
+  const Rfc3626Selector flooding;
+  const FnbpSelector<BandwidthMetric> ans;
+  const auto routes = [](const Graph& graph, NodeId self, NodeId dest) {
+    return compute_next_hop<BandwidthMetric>(graph, self, dest);
+  };
+  Simulator sim(g, flooding, ans, routes);
+  sim.run_to_convergence();
+  const double round = sim.config().node.tc_interval;
+  sim.run_until(sim.now() + round);  // warm queue / duplicate-set capacity
+
+  const std::uint64_t events_before = sim.queue().processed();
+  const std::uint64_t allocs_before = g_allocations.load();
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) sim.run_until(sim.now() + round);
+  const std::chrono::nanoseconds elapsed =
+      std::chrono::steady_clock::now() - start;
+  const auto events =
+      static_cast<double>(sim.queue().processed() - events_before);
+  state.counters["events"] = events / static_cast<double>(state.iterations());
+  state.counters["ns_per_event"] = static_cast<double>(elapsed.count()) / events;
+  state.counters["allocs/event"] =
+      static_cast<double>(g_allocations.load() - allocs_before) / events;
   state.counters["nodes"] = static_cast<double>(g.node_count());
 }
 
@@ -208,3 +248,4 @@ BENCHMARK(BM_DuplicateSetSteadyState);
 BENCHMARK(BM_SteadyStateDataForwarding)->Arg(8);
 BENCHMARK(BM_BroadcastFanout)->Arg(10)->Arg(30);
 BENCHMARK(BM_ControlPlaneConvergence)->Arg(6)->Arg(10)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_QuiescentControlRound)->Arg(10)->Unit(benchmark::kMillisecond);

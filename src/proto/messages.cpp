@@ -161,6 +161,15 @@ std::optional<ParsedPacket> parse_packet(const std::vector<std::byte>& bytes) {
   return std::nullopt;
 }
 
+void patch_forwarding_header(std::vector<std::byte>& frame, std::uint8_t ttl,
+                             std::uint8_t hop_count) {
+  // Header layout (write_header): type u8, originator u32, sequence u16,
+  // then ttl u8 and hop_count u8.
+  constexpr std::size_t kTtlOffset = 1 + 4 + 2;
+  frame.at(kTtlOffset) = static_cast<std::byte>(ttl);
+  frame.at(kTtlOffset + 1) = static_cast<std::byte>(hop_count);
+}
+
 std::size_t tc_wire_size(std::size_t ans_size) {
   return kHeaderBytes + 4 + 2 + 2 + ans_size * kAdvertBytes;
 }

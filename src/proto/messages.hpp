@@ -99,6 +99,14 @@ struct ParsedPacket {
 /// malformed input (never reads out of bounds).
 std::optional<ParsedPacket> parse_packet(const std::vector<std::byte>& bytes);
 
+/// Rewrites the TTL and hop count of a serialized frame in place — the
+/// MPR-forwarding fast path. For a frame that parse_packet accepted, the
+/// result equals serialize() of the parsed message under the patched
+/// header byte for byte (the codec round-trips every field, including the
+/// IEEE bits of each QoS double). `frame` must hold at least a header.
+void patch_forwarding_header(std::vector<std::byte>& frame, std::uint8_t ttl,
+                             std::uint8_t hop_count);
+
 /// Wire size in bytes of a TC advertising `ans_size` links — used to report
 /// control overhead as bytes, connecting set size to the paper's motivation
 /// (smaller ANS ⇒ smaller TC messages).

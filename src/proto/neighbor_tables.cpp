@@ -1,10 +1,20 @@
 #include "proto/neighbor_tables.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "util/digest.hpp"
 
 namespace qolsr {
+
+namespace {
+/// Bit-exact QoS equality: the selection epoch must move on any change a
+/// selector could observe, including 0.0 -> -0.0 (which `==` misses).
+bool same_bits(const LinkQos& a, const LinkQos& b) {
+  static_assert(sizeof(LinkQos) == 6 * sizeof(double), "no padding bytes");
+  return std::memcmp(&a, &b, sizeof(LinkQos)) == 0;
+}
+}  // namespace
 
 NeighborTables::Outcome NeighborTables::on_hello(const HelloMessage& hello,
                                                  const LinkQos& qos,
@@ -26,16 +36,36 @@ NeighborTables::Outcome NeighborTables::on_hello(const HelloMessage& hello,
   }
   if (lists_us) entry.sym_until = now + hold_time_;
   // The sender's full (symmetric) link table gives us the 2-hop view.
-  entry.advertised.clear();
+  // Rewritten in place so the comparison against the held sequence costs
+  // no allocation: the view reads (neighbor, qos) only, so a status flip
+  // between kSymmetric and kMpr is not an advert change.
+  bool adverts_changed = false;
+  std::size_t kept = 0;
   for (const LinkAdvert& a : hello.links) {
     if (a.status == LinkStatus::kAsymmetric) continue;  // not yet usable
-    entry.advertised.push_back(a);
+    if (kept < entry.advertised.size()) {
+      LinkAdvert& held = entry.advertised[kept];
+      if (held.neighbor != a.neighbor || !same_bits(held.qos, a.qos))
+        adverts_changed = true;
+      held = a;
+    } else {
+      entry.advertised.push_back(a);
+      adverts_changed = true;
+    }
+    ++kept;
+  }
+  if (kept != entry.advertised.size()) {
+    entry.advertised.resize(kept);
+    adverts_changed = true;
   }
   const bool is_sym = entry.sym_until >= 0.0;
   Outcome out;
   out.digest_changed =
       inserted || was_sym != is_sym || was_mpr != entry.selected_us_mpr;
   out.view_changed = was_sym != is_sym || (is_sym && !(old_qos == entry.qos));
+  if (was_sym != is_sym ||
+      (is_sym && (adverts_changed || !same_bits(old_qos, entry.qos))))
+    ++view_epoch_;
   return out;
 }
 
@@ -43,7 +73,10 @@ NeighborTables::Outcome NeighborTables::expire(double now) {
   Outcome out;
   for (auto it = links_.begin(); it != links_.end();) {
     if (it->second.asym_until < now) {
-      if (it->second.sym_until >= 0.0) out.view_changed = true;
+      if (it->second.sym_until >= 0.0) {
+        out.view_changed = true;
+        ++view_epoch_;
+      }
       out.digest_changed = true;  // the digest folds every held entry
       it = links_.erase(it);
     } else {
@@ -51,6 +84,7 @@ NeighborTables::Outcome NeighborTables::expire(double now) {
         it->second.sym_until = -1.0;
         out.digest_changed = true;
         out.view_changed = true;
+        ++view_epoch_;
       }
       ++it;
     }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <vector>
 
@@ -42,7 +43,20 @@ class NeighborTables {
   Outcome expire(double now);
 
   /// Forgets every neighbor — the per-run reset of a reused protocol stack.
-  void clear() { links_.clear(); }
+  void clear() {
+    links_.clear();
+    ++view_epoch_;
+  }
+
+  /// Selection epoch: bumped by every mutation that changes what
+  /// build_local_view reads — the symmetric neighbor set, a symmetric
+  /// link's QoS bits, or a symmetric neighbor's advertised (neighbor, qos)
+  /// sequence. Equal epochs on the same tables object ⇒ build_local_view
+  /// returns the same view, so a caller that memoizes a pure function of
+  /// that view (OlsrNode's selection) may skip recomputing it. Timer
+  /// refreshes, asymmetric entries, and advert status flips between
+  /// kSymmetric and kMpr (which the view does not carry) leave it alone.
+  std::uint64_t view_epoch() const { return view_epoch_; }
 
   /// Folds the link-state that selection depends on — symmetric neighbor
   /// ids and who selected us as MPR — into a running state digest. Hold
@@ -106,6 +120,7 @@ class NeighborTables {
   NodeId self_;
   double hold_time_;
   std::map<NodeId, LinkEntry> links_;  // ordered => deterministic iteration
+  std::uint64_t view_epoch_ = 0;       ///< see view_epoch()
 };
 
 }  // namespace qolsr

@@ -1,5 +1,6 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -7,16 +8,15 @@ namespace qolsr {
 
 void EventQueue::schedule_at(SimTime time, Callback callback) {
   assert(time >= now_ && "cannot schedule into the past");
-  events_.push({time, next_sequence_++, std::move(callback)});
+  events_.push_back({time, next_sequence_++, std::move(callback)});
+  std::push_heap(events_.begin(), events_.end(), Later{});
 }
 
 void EventQueue::run_until(SimTime horizon) {
-  while (!events_.empty() && events_.top().time <= horizon) {
-    // priority_queue::top is const; move out via const_cast is UB-adjacent,
-    // so copy the callback handle instead (shared ownership is cheap).
-    Event event{events_.top().time, events_.top().sequence,
-                events_.top().callback};
-    events_.pop();
+  while (!events_.empty() && events_.front().time <= horizon) {
+    std::pop_heap(events_.begin(), events_.end(), Later{});
+    Event event = std::move(events_.back());
+    events_.pop_back();
     now_ = event.time;
     ++processed_;
     event.callback();

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 namespace qolsr {
@@ -58,7 +57,12 @@ class EventQueue {
   SimTime now_ = 0.0;
   std::uint64_t next_sequence_ = 0;
   std::uint64_t processed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> events_;
+  /// Binary heap under Later (std::push_heap/pop_heap — the operations
+  /// std::priority_queue wraps), kept as a plain vector so a fired event's
+  /// callback is moved out instead of copied: copying a heap-stored
+  /// closure (a fan-out's receiver list and buffer handle) would allocate
+  /// per dispatch.
+  std::vector<Event> events_;
 };
 
 }  // namespace qolsr

@@ -81,6 +81,7 @@ void OlsrNode::reset(const AnsSelector& flooding_selector,
   duplicates_.clear();
   flooding_mpr_.clear();
   ans_.clear();
+  selected_epoch_ = kStaleSelection;
   ansn_ = 0;
   last_advertised_.clear();
   next_sequence_ = 0;
@@ -112,6 +113,7 @@ void OlsrNode::crash() {
   duplicates_.clear();
   flooding_mpr_.clear();
   ans_.clear();
+  selected_epoch_ = kStaleSelection;
   last_advertised_.clear();
   knowledge_valid_ = false;
   note_mutation();  // the alive bit (and the wiped tables) are state
@@ -157,6 +159,12 @@ std::vector<LinkAdvert> OlsrNode::build_hello_links() const {
 }
 
 void OlsrNode::recompute_selection() {
+  // The selectors are pure functions of the local view, and the view only
+  // changes when the tables' epoch moves: an unchanged epoch would
+  // reproduce the held sets exactly (so no mutation note and no ANSN bump
+  // either), and the recompute is skipped.
+  if (selected_epoch_ == tables_.view_epoch()) return;
+  selected_epoch_ = tables_.view_epoch();
   const LocalView view = tables_.build_local_view();
   std::vector<NodeId> flooding = flooding_selector_->select(view);
   std::vector<NodeId> ans = ans_selector_->select(view);
@@ -302,10 +310,14 @@ void OlsrNode::replay_captured_tc() {
 }
 
 void OlsrNode::on_receive(NodeId from, const std::vector<std::byte>& bytes) {
+  on_packet(from, parse_packet(bytes), bytes);
+}
+
+void OlsrNode::on_packet(NodeId from, const std::optional<ParsedPacket>& packet,
+                         const std::vector<std::byte>& bytes) {
   // A frame scheduled before we crashed can still land afterwards (the
   // propagation delay); a dead node hears nothing.
   if (!alive_) return;
-  const auto packet = parse_packet(bytes);
   if (!packet.has_value() ||
       !in_deployment(*packet, medium_.node_count())) {
     // Expected noise under an active corruption gate — counted, not
@@ -319,7 +331,7 @@ void OlsrNode::on_receive(NodeId from, const std::vector<std::byte>& bytes) {
       handle_hello(*packet->hello, from);
       break;
     case MessageType::kTc:
-      handle_tc(packet->header, *packet->tc, from);
+      handle_tc(packet->header, *packet->tc, bytes, from);
       break;
     case MessageType::kData:
       handle_data(packet->header, *packet->data);
@@ -337,7 +349,7 @@ void OlsrNode::handle_hello(const HelloMessage& hello, NodeId from) {
 }
 
 void OlsrNode::handle_tc(const PacketHeader& header, const TcMessage& tc,
-                         NodeId from) {
+                         const std::vector<std::byte>& bytes, NodeId from) {
   const double now = medium_.now();
   // Only process floods arriving over a symmetric link (RFC 3626 §9.5).
   if (!tables_.is_symmetric(from)) return;
@@ -377,13 +389,16 @@ void OlsrNode::handle_tc(const PacketHeader& header, const TcMessage& tc,
     }
     return;
   }
-  PacketHeader forwarded = header;
-  forwarded.ttl -= 1;
-  forwarded.hop_count += 1;
-  auto bytes = make_shared_bytes(serialize(forwarded, tc));
+  // The codec round-trips a parsed frame byte for byte, so the received
+  // bytes with TTL and hop count patched are exactly serialize(forwarded,
+  // tc) — without re-encoding every advert.
+  std::vector<std::byte> copy(bytes);
+  patch_forwarding_header(copy, static_cast<std::uint8_t>(header.ttl - 1),
+                          static_cast<std::uint8_t>(header.hop_count + 1));
+  auto forwarded = make_shared_bytes(std::move(copy));
   trace_.tc_forwarded += 1;
-  trace_.control_bytes += bytes->size();
-  medium_.broadcast(id_, std::move(bytes));
+  trace_.control_bytes += forwarded->size();
+  medium_.broadcast(id_, std::move(forwarded));
 }
 
 void OlsrNode::send_data(NodeId destination, std::uint32_t payload_id) {

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -102,8 +103,16 @@ class OlsrNode {
   AdversaryKind role() const { return role_; }
   void set_monitor(InvariantMonitor* monitor) { monitor_ = monitor; }
 
-  /// MAC upcall for any packet addressed to or overheard by this node.
+  /// MAC upcall for any packet addressed to or overheard by this node:
+  /// parses `bytes`, then hands the result to on_packet.
   void on_receive(NodeId from, const std::vector<std::byte>& bytes);
+
+  /// The reception body over an already-parsed frame — nullopt when
+  /// `bytes` failed to parse. A batched fan-out parses its shared buffer
+  /// once and calls this per receiver; `bytes` must be the frame `packet`
+  /// was parsed from (a forwarded TC is a patched copy of it).
+  void on_packet(NodeId from, const std::optional<ParsedPacket>& packet,
+                 const std::vector<std::byte>& bytes);
 
   /// Injects one data packet to route toward `destination`.
   void send_data(NodeId destination, std::uint32_t payload_id);
@@ -114,6 +123,11 @@ class OlsrNode {
   const TopologyBase& topology() const { return topology_; }
   const std::vector<NodeId>& flooding_mpr() const { return flooding_mpr_; }
   const std::vector<NodeId>& ans() const { return ans_; }
+  /// The tables().view_epoch() the held selections were computed on. When
+  /// the two are equal, flooding_mpr() and ans() are exactly the selectors'
+  /// output on tables().build_local_view(); otherwise the view moved since
+  /// the last HELLO/TC tick and the next one recomputes.
+  std::uint64_t selected_epoch() const { return selected_epoch_; }
   /// Knowledge graph the node routes on: TC topology merged with its own
   /// HELLO-derived local view. Cached: the returned reference stays valid
   /// (and the rebuild is skipped) until the next protocol mutation — TC
@@ -156,7 +170,7 @@ class OlsrNode {
   std::vector<LinkAdvert> build_hello_links() const;
   void handle_hello(const HelloMessage& hello, NodeId from);
   void handle_tc(const PacketHeader& header, const TcMessage& tc,
-                 NodeId from);
+                 const std::vector<std::byte>& bytes, NodeId from);
   void handle_data(PacketHeader header, const DataMessage& data);
   void forward_or_deliver(PacketHeader header, const DataMessage& data);
   void mark_drop(std::uint32_t payload_id, TraceStats::Journey::Drop reason);
@@ -175,6 +189,10 @@ class OlsrNode {
   DuplicateSet duplicates_;
   std::vector<NodeId> flooding_mpr_;
   std::vector<NodeId> ans_;
+  /// tables_.view_epoch() the selections above were computed on;
+  /// kStaleSelection forces the next recompute (fresh or wiped tables).
+  static constexpr std::uint64_t kStaleSelection = ~std::uint64_t{0};
+  std::uint64_t selected_epoch_ = kStaleSelection;
   std::uint16_t ansn_ = 0;
   std::vector<NodeId> last_advertised_;
   std::uint16_t next_sequence_ = 0;

@@ -232,8 +232,11 @@ void Simulator::deliver_fanout(NodeId from,
   if (receivers.empty()) return;
   queue_.schedule_in(config_.propagation_delay,
                      [this, from, receivers, bytes = std::move(bytes)] {
+                       // Every leg carries the same immutable bytes, so
+                       // one parse serves them all.
+                       const auto packet = parse_packet(*bytes);
                        for (const NodeId to : receivers)
-                         nodes_[to]->on_receive(from, *bytes);
+                         nodes_[to]->on_packet(from, packet, *bytes);
                      });
 }
 

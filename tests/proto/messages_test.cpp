@@ -4,6 +4,8 @@
 
 #include <limits>
 
+#include "util/rng.hpp"
+
 namespace qolsr {
 namespace {
 
@@ -232,6 +234,52 @@ TEST(Messages, TcWireSizeGrowsWithAnsSize) {
     tc.advertised.push_back({i, LinkStatus::kSymmetric, {}});
   EXPECT_EQ(serialize(header_of(MessageType::kTc), tc).size(),
             tc_wire_size(5));
+}
+
+TEST(Messages, PatchedForwardingHeaderEqualsReserialization) {
+  // The MPR-forwarding fast path copies a received TC and patches TTL and
+  // hop count in place; it must produce exactly what re-serializing the
+  // parsed message under the forwarded header would — for every field
+  // value the parser accepts, including -0.0 and wrapping hop counts.
+  util::Rng rng(20240611);
+  const auto draw_qos_field = [&rng]() -> double {
+    switch (rng.uniform_int(4)) {
+      case 0: return 0.0;
+      case 1: return -0.0;  // passes valid_qos (-0.0 >= 0.0) — keep its bit
+      case 2: return std::numeric_limits<double>::denorm_min();
+      default: return rng.uniform(0.0, 1.0e6);
+    }
+  };
+  for (int trial = 0; trial < 500; ++trial) {
+    PacketHeader header;
+    header.type = MessageType::kTc;
+    header.originator = static_cast<NodeId>(rng.next());
+    header.sequence = static_cast<std::uint16_t>(rng.next());
+    header.ttl = static_cast<std::uint8_t>(2 + rng.uniform_int(254));
+    header.hop_count = static_cast<std::uint8_t>(rng.next());
+    TcMessage tc;
+    tc.originator = static_cast<NodeId>(rng.next());
+    tc.ansn = static_cast<std::uint16_t>(rng.next());
+    const std::uint64_t links = rng.uniform_int(12);
+    for (std::uint64_t i = 0; i < links; ++i) {
+      LinkAdvert a;
+      a.neighbor = static_cast<NodeId>(rng.next());
+      a.status = static_cast<LinkStatus>(1 + rng.uniform_int(3));
+      a.qos = {draw_qos_field(), draw_qos_field(), draw_qos_field(),
+               draw_qos_field(), draw_qos_field(), draw_qos_field()};
+      tc.advertised.push_back(a);
+    }
+    const std::vector<std::byte> received = serialize(header, tc);
+    const auto parsed = parse_packet(received);
+    ASSERT_TRUE(parsed.has_value()) << "trial " << trial;
+
+    PacketHeader forwarded = parsed->header;
+    forwarded.ttl -= 1;
+    forwarded.hop_count += 1;
+    std::vector<std::byte> patched = received;
+    patch_forwarding_header(patched, forwarded.ttl, forwarded.hop_count);
+    EXPECT_EQ(patched, serialize(forwarded, *parsed->tc)) << "trial " << trial;
+  }
 }
 
 }  // namespace

@@ -122,5 +122,52 @@ TEST(Allocation, SteadyStateForwardingIsBounded) {
       << "forwarding allocated " << per_packet << " times per packet";
 }
 
+TEST(Allocation, QuiescentControlRoundBelowOnePerReception) {
+  // One TC interval on a converged network: HELLO refreshes, TC
+  // origination and MPR re-flooding all continue, but no node's view
+  // changes. Every reception of a batched fan-out shares one parse, and
+  // selection is skipped on an unchanged view, so the whole round stays
+  // below one allocation per *received* frame — per-receiver parsing
+  // alone would cost at least one each. The circulant topology (every
+  // node linked to its 4 nearest on each side) gives each broadcast
+  // exactly kDegree receivers on the loss-free medium.
+  constexpr NodeId kNodes = 30;
+  constexpr NodeId kHalfDegree = 4;
+  constexpr std::uint64_t kDegree = 2 * kHalfDegree;
+  Graph g;
+  for (NodeId i = 0; i < kNodes; ++i)
+    g.add_node({static_cast<double>(i) * 10.0, 0.0});
+  for (NodeId i = 0; i < kNodes; ++i)
+    for (NodeId k = 1; k <= kHalfDegree; ++k) {
+      LinkQos qos;
+      qos.bandwidth = 1.0 + static_cast<double>((i * 7 + k * 3) % 11);
+      g.add_edge(i, (i + k) % kNodes, qos);
+    }
+  const Rfc3626Selector flooding;
+  const FnbpSelector<BandwidthMetric> ans;
+  DijkstraWorkspace dws;
+  NextHopScratch bfs;
+  Simulator sim(g, flooding, ans, workspace_routes(dws, bfs));
+  ASSERT_TRUE(sim.run_to_convergence().converged);
+  // Warm a full round first (queue and duplicate-set high water).
+  const double tc_interval = sim.config().node.tc_interval;
+  sim.run_until(sim.now() + tc_interval);
+
+  const auto broadcasts = [&sim] {
+    const TraceStats& t = sim.trace();
+    return t.hello_sent + t.tc_originated + t.tc_forwarded;
+  };
+  const std::uint64_t mutations_before = sim.mutations().count();
+  const std::uint64_t sent_before = broadcasts();
+  const std::uint64_t before = allocations();
+  sim.run_until(sim.now() + tc_interval);
+  const std::uint64_t allocated = allocations() - before;
+  const std::uint64_t receptions = (broadcasts() - sent_before) * kDegree;
+  EXPECT_EQ(sim.mutations().count(), mutations_before) << "not quiescent";
+  ASSERT_GT(receptions, 0u);
+  EXPECT_LT(allocated, receptions)
+      << allocated << " allocations for " << receptions << " receptions";
+}
+
 }  // namespace
 }  // namespace qolsr

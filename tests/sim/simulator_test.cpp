@@ -167,5 +167,51 @@ TEST(Simulator, QolsrModeUsesSameSetForFloodingAndRouting) {
   }
 }
 
+TEST(Simulator, BatchedFanoutCountsMalformedLikePerLegDelivery) {
+  // A batched fan-out parses its buffer once for every receiver; the
+  // per-receiver checks (alive, deployment range) must still run per leg,
+  // so frames_malformed counts exactly what per-leg delivery counts: one
+  // per alive receiver, none for a crashed one.
+  const Graph g = testing::Fig1::build();
+  const Rfc3626Selector flooding;
+  const FnbpSelector<BandwidthMetric> ans;
+  Simulator sim(g, flooding, ans, bandwidth_routes());
+  sim.run_to_convergence();
+
+  NodeId hub = 0;
+  for (NodeId u = 0; u < g.node_count(); ++u)
+    if (g.neighbors(u).size() > g.neighbors(hub).size()) hub = u;
+  std::vector<NodeId> receivers;
+  for (const Edge& e : g.neighbors(hub)) receivers.push_back(e.to);
+  ASSERT_GE(receivers.size(), 2u);
+  sim.node(receivers[0]).crash();  // still in range: the frame reaches it
+  const std::uint64_t alive_receivers = receivers.size() - 1;
+
+  // Unparseable bytes, and a well-formed TC naming an out-of-deployment
+  // originator (parses, then fails the per-receiver range check).
+  TcMessage foreign;
+  foreign.originator = 1000;
+  PacketHeader header;
+  header.type = MessageType::kTc;
+  header.originator = 1000;
+  const std::vector<SharedBytes> frames = {
+      make_shared_bytes(std::vector<std::byte>(5, std::byte{0xff})),
+      make_shared_bytes(serialize(header, foreign)),
+  };
+  const double drain = 2.0 * sim.config().propagation_delay;
+  for (const SharedBytes& frame : frames) {
+    const std::uint64_t before = sim.trace().frames_malformed;
+    sim.deliver_fanout(hub, receivers, frame);
+    sim.run_until(sim.now() + drain);
+    const std::uint64_t batched = sim.trace().frames_malformed - before;
+    for (const NodeId to : receivers) sim.deliver(hub, to, frame);
+    sim.run_until(sim.now() + drain);
+    const std::uint64_t per_leg =
+        sim.trace().frames_malformed - before - batched;
+    EXPECT_EQ(batched, alive_receivers);
+    EXPECT_EQ(per_leg, batched);
+  }
+}
+
 }  // namespace
 }  // namespace qolsr
