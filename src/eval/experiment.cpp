@@ -1,32 +1,12 @@
 #include "eval/experiment.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <memory>
 
 #include "eval/backend.hpp"
 
 namespace qolsr {
-
-std::string_view backend_name(BackendId id) {
-  for (const BackendInfo& info : kBackends)
-    if (info.id == id) return info.name;
-  return "oracle";
-}
-
-std::optional<BackendId> parse_backend_id(std::string_view name) {
-  for (const BackendInfo& info : kBackends)
-    if (name == info.name) return info.id;
-  return std::nullopt;
-}
-
-std::string backend_names() {
-  std::string out;
-  for (const BackendInfo& info : kBackends) {
-    if (!out.empty()) out += "|";
-    out += info.name;
-  }
-  return out;
-}
 
 namespace {
 
@@ -49,6 +29,11 @@ double parse_double(std::string_view flag, std::string_view text) {
   if (ec != std::errc{} || ptr != text.data() + text.size())
     throw ExperimentError("flag " + std::string(flag) + ": '" +
                           std::string(text) + "' is not a number");
+  // from_chars accepts "nan" and "inf", which slip past every range check
+  // downstream (a nan radius or an infinite load never terminates).
+  if (!std::isfinite(value))
+    throw ExperimentError("flag " + std::string(flag) + ": '" +
+                          std::string(text) + "' is not a finite number");
   return value;
 }
 
@@ -60,6 +45,17 @@ std::uint64_t parse_uint(std::string_view flag, std::string_view text) {
     throw ExperimentError("flag " + std::string(flag) + ": '" +
                           std::string(text) + "' is not a non-negative integer");
   return value;
+}
+
+/// Parses an enum-valued flag through its name table; the error lists the
+/// table's names.
+template <typename E, std::size_t N>
+E parse_named(std::string_view flag, const util::Named<E> (&table)[N],
+              std::string_view value) {
+  if (const auto id = util::parse_name(table, value)) return *id;
+  throw ExperimentError("flag " + std::string(flag) + ": expected " +
+                        util::names_of(table) + ", got '" +
+                        std::string(value) + "'");
 }
 
 }  // namespace
@@ -171,7 +167,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
     throw ExperimentError("experiment '" + spec.name +
                           "': --adversaries=K@kind[,kind...] needs at least "
                           "one kind when K > 0 (known: " +
-                          std::string(kAdversaryKindNames) + ")");
+                          util::names_of(kAdversaryKinds) + ")");
   if (spec.scenario.sweep_axis == Scenario::SweepAxis::kAdversary) {
     if (spec.backend != BackendId::kPacket)
       throw ExperimentError("experiment '" + spec.name +
@@ -271,11 +267,11 @@ ExperimentSpec parse_experiment_spec(const std::vector<std::string>& args,
     if (flag == "--name") {
       spec.name = value;
     } else if (flag == "--backend") {
-      const auto id = parse_backend_id(value);
+      const auto id = util::parse_name(kBackends, value);
       if (!id)
         throw ExperimentError("flag --backend: unknown backend '" +
                               std::string(value) +
-                              "' (known: " + backend_names() + ")");
+                              "' (known: " + util::names_of(kBackends) + ")");
       spec.backend = *id;
     } else if (flag == "--metric") {
       const auto id = parse_metric_id(value);
@@ -326,40 +322,16 @@ ExperimentSpec parse_experiment_spec(const std::vector<std::string>& args,
       require_no_value();
       spec.scenario.qos.integral = false;
     } else if (flag == "--routing") {
-      if (value == "union") {
-        spec.scenario.routing_model = Scenario::RoutingModel::kAdvertisedUnion;
-      } else if (value == "chain") {
-        spec.scenario.routing_model = Scenario::RoutingModel::kAnsChain;
-      } else {
-        throw ExperimentError("flag --routing: expected union|chain, got '" +
-                              std::string(value) + "'");
-      }
+      spec.scenario.routing_model = parse_named(flag, kRoutingModels, value);
     } else if (flag == "--hop-by-hop") {
       require_no_value();
       spec.scenario.hop_by_hop = true;
     } else if (flag == "--pairs") {
-      if (value == "two_hop") {
-        spec.scenario.pair_mode = Scenario::PairMode::kTwoHop;
-      } else if (value == "any") {
-        spec.scenario.pair_mode = Scenario::PairMode::kAnyConnected;
-      } else {
-        throw ExperimentError("flag --pairs: expected two_hop|any, got '" +
-                              std::string(value) + "'");
-      }
+      spec.scenario.pair_mode = parse_named(flag, kPairModes, value);
     } else if (flag == "--max-resamples") {
       spec.scenario.max_topology_resamples = parse_uint(flag, value);
     } else if (flag == "--mobility") {
-      if (value == "none") {
-        spec.scenario.dynamics.model = DynamicsSpec::Model::kNone;
-      } else if (value == "waypoint") {
-        spec.scenario.dynamics.model = DynamicsSpec::Model::kWaypoint;
-      } else if (value == "churn") {
-        spec.scenario.dynamics.model = DynamicsSpec::Model::kChurn;
-      } else {
-        throw ExperimentError(
-            "flag --mobility: expected none|waypoint|churn, got '" +
-            std::string(value) + "'");
-      }
+      spec.scenario.dynamics.model = parse_named(flag, kMobilityModels, value);
     } else if (flag == "--epochs") {
       spec.scenario.dynamics.epochs = parse_uint(flag, value);
     } else if (flag == "--epoch-duration") {
@@ -386,11 +358,7 @@ ExperimentSpec parse_experiment_spec(const std::vector<std::string>& args,
     } else if (flag == "--refresh") {
       spec.scenario.dynamics.refresh_interval = parse_uint(flag, value);
     } else if (flag == "--axis") {
-      // One shared table (kSweepAxes) drives parsing, the error text and
-      // the emitted column label — adding an axis is one row there.
-      if (!parse_sweep_axis(std::string(value), spec.scenario.sweep_axis))
-        throw ExperimentError("flag --axis: expected " + sweep_axis_names() +
-                              ", got '" + std::string(value) + "'");
+      spec.scenario.sweep_axis = parse_named(flag, kSweepAxes, value);
     } else if (flag == "--loss") {
       spec.scenario.faults.loss_rate = parse_double(flag, value);
     } else if (flag == "--probes") {
@@ -420,44 +388,22 @@ ExperimentSpec parse_experiment_spec(const std::vector<std::string>& args,
       adv.kinds.clear();
       if (at != std::string_view::npos) {
         for (const std::string& kind : split_list(value.substr(at + 1))) {
-          const auto parsed = parse_adversary_kind(kind);
+          const auto parsed = util::parse_name(kAdversaryKinds, kind);
           if (!parsed)
             throw ExperimentError(
                 "flag --adversaries: unknown kind '" + kind +
-                "' (known: " + std::string(kAdversaryKindNames) + ")");
+                "' (known: " + util::names_of(kAdversaryKinds) + ")");
           adv.kinds.push_back(*parsed);
         }
       }
     } else if (flag == "--corrupt") {
       spec.scenario.adversaries.corrupt_rate = parse_double(flag, value);
     } else if (flag == "--traffic") {
-      TrafficSpec& traffic = spec.scenario.traffic;
-      if (value == "none") {
-        traffic.arrival = TrafficSpec::Arrival::kNone;
-      } else if (value == "poisson") {
-        traffic.arrival = TrafficSpec::Arrival::kPoisson;
-      } else if (value == "cbr") {
-        traffic.arrival = TrafficSpec::Arrival::kCbr;
-      } else if (value == "pareto") {
-        traffic.arrival = TrafficSpec::Arrival::kPareto;
-      } else {
-        throw ExperimentError(
-            "flag --traffic: expected none|poisson|cbr|pareto, got '" +
-            std::string(value) + "'");
-      }
+      spec.scenario.traffic.arrival =
+          parse_named(flag, kTrafficArrivals, value);
     } else if (flag == "--pattern") {
-      TrafficSpec& traffic = spec.scenario.traffic;
-      if (value == "uniform") {
-        traffic.pattern = TrafficSpec::Pattern::kUniform;
-      } else if (value == "hotspot") {
-        traffic.pattern = TrafficSpec::Pattern::kHotspot;
-      } else if (value == "gateway") {
-        traffic.pattern = TrafficSpec::Pattern::kGateway;
-      } else {
-        throw ExperimentError(
-            "flag --pattern: expected uniform|hotspot|gateway, got '" +
-            std::string(value) + "'");
-      }
+      spec.scenario.traffic.pattern =
+          parse_named(flag, kTrafficPatterns, value);
     } else if (flag == "--flows") {
       spec.scenario.traffic.flows = parse_uint(flag, value);
     } else if (flag == "--load") {

@@ -1,15 +1,14 @@
 #pragma once
 
-#include <optional>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "eval/runner.hpp"
 #include "eval/scenario.hpp"
 #include "metrics/metric_id.hpp"
 #include "olsr/selector_registry.hpp"
+#include "util/name_table.hpp"
 
 namespace qolsr {
 
@@ -40,25 +39,11 @@ enum class BackendId { kOracle, kPacket, kWire };
 /// CLI parsing, the unknown-backend error text and emitted names all
 /// derive from it, so adding a backend is one row here plus its
 /// EvalBackend implementation (eval/backend.cpp).
-struct BackendInfo {
-  BackendId id;
-  const char* name;
-};
-inline constexpr BackendInfo kBackends[] = {
+inline constexpr util::Named<BackendId> kBackends[] = {
     {BackendId::kOracle, "oracle"},
     {BackendId::kPacket, "packet"},
     {BackendId::kWire, "wire"},
 };
-
-/// Canonical CLI/JSON name ("oracle", "packet", "wire"), from kBackends.
-std::string_view backend_name(BackendId id);
-
-/// Inverse of backend_name; nullopt for unknown names.
-std::optional<BackendId> parse_backend_id(std::string_view name);
-
-/// Pipe-separated list of the valid backend names (for error messages and
-/// help text), generated from kBackends.
-std::string backend_names();
 
 /// Any failure of the experiment engine — unknown metric or selector name,
 /// malformed CLI flag, degenerate deployment — surfaces as this one type

@@ -2,38 +2,33 @@
 
 #include <cctype>
 
-#include "eval/result_sink.hpp"
 #include "eval/scenario.hpp"
 
 namespace qolsr {
 
 ExperimentSpec figure_spec(int figure, const FigureConfig& config) {
+  // Set size (Figs. 6, 7) and QoS overhead (Figs. 8, 9), each for the
+  // bandwidth and the delay metric over that metric's densities.
+  struct PaperFigure {
+    const char* name;
+    MetricId metric;
+  };
+  constexpr PaperFigure kPaperFigures[] = {
+      {"fig6_ans_size_bandwidth", MetricId::kBandwidth},
+      {"fig7_ans_size_delay", MetricId::kDelay},
+      {"fig8_bandwidth_overhead", MetricId::kBandwidth},
+      {"fig9_delay_overhead", MetricId::kDelay},
+  };
+  if (figure < 6 || figure > 9)
+    throw ExperimentError("figure_spec: the paper has figures 6-9, not " +
+                          std::to_string(figure));
+  const PaperFigure& paper = kPaperFigures[figure - 6];
   ExperimentSpec spec;
-  switch (figure) {
-    case 6:
-      spec.name = "fig6_ans_size_bandwidth";
-      spec.metric = MetricId::kBandwidth;
-      spec.scenario.densities = bandwidth_densities();
-      break;
-    case 7:
-      spec.name = "fig7_ans_size_delay";
-      spec.metric = MetricId::kDelay;
-      spec.scenario.densities = delay_densities();
-      break;
-    case 8:
-      spec.name = "fig8_bandwidth_overhead";
-      spec.metric = MetricId::kBandwidth;
-      spec.scenario.densities = bandwidth_densities();
-      break;
-    case 9:
-      spec.name = "fig9_delay_overhead";
-      spec.metric = MetricId::kDelay;
-      spec.scenario.densities = delay_densities();
-      break;
-    default:
-      throw ExperimentError("figure_spec: the paper has figures 6-9, not " +
-                            std::to_string(figure));
-  }
+  spec.name = paper.name;
+  spec.metric = paper.metric;
+  spec.scenario.densities = paper.metric == MetricId::kBandwidth
+                                ? bandwidth_densities()
+                                : delay_densities();
   // spec.selectors already defaults to the paper's legend order.
   spec.scenario.runs = config.runs;
   spec.scenario.seed = config.seed;
@@ -41,41 +36,52 @@ ExperimentSpec figure_spec(int figure, const FigureConfig& config) {
   return spec;
 }
 
-ExperimentSpec figure_m_spec(const FigureConfig& config) {
+namespace {
+
+/// The frame every canned letter figure shares: all five selectors on the
+/// bandwidth metric, swept along `axis` at a fixed mean degree, over
+/// any-connected pairs (long multi-hop flows — what each figure measures
+/// compounds per traversed hop, which the paper's 2-hop pairs would hide).
+ExperimentSpec letter_figure(std::string name, BackendId backend,
+                             Scenario::SweepAxis axis,
+                             std::vector<double> values, double degree,
+                             const FigureConfig& config) {
   ExperimentSpec spec;
-  spec.name = "figM_delivery_vs_speed";
+  spec.name = std::move(name);
+  spec.backend = backend;
   spec.metric = MetricId::kBandwidth;
   spec.selectors = {"olsr_mpr", "qolsr_mpr1", "qolsr_mpr2",
                     "topology_filtering", "fnbp"};
-  spec.scenario.sweep_axis = Scenario::SweepAxis::kSpeed;
-  spec.scenario.densities = {1, 5, 10, 15, 20};  // m/s
-  spec.scenario.field.degree = 20.0;
-  // Long multi-hop flows: staleness compounds per traversed hop, which the
-  // paper's 2-hop pairs would hide.
+  spec.scenario.sweep_axis = axis;
+  spec.scenario.densities = std::move(values);
+  spec.scenario.field.degree = degree;
   spec.scenario.pair_mode = Scenario::PairMode::kAnyConnected;
-  spec.scenario.dynamics.model = DynamicsSpec::Model::kWaypoint;
-  spec.scenario.dynamics.epochs = 50;
-  spec.scenario.dynamics.epoch_duration = 1.0;  // one HELLO period
-  spec.scenario.dynamics.refresh_interval = 5;  // OLSR's TC/HELLO ratio
   spec.scenario.runs = config.runs;
   spec.scenario.seed = config.seed;
   spec.threads = config.threads;
   return spec;
 }
 
+}  // namespace
+
+ExperimentSpec figure_m_spec(const FigureConfig& config) {
+  // Sweep values are waypoint speeds in m/s, at the paper's density.
+  ExperimentSpec spec =
+      letter_figure("figM_delivery_vs_speed", BackendId::kOracle,
+                    Scenario::SweepAxis::kSpeed, {1, 5, 10, 15, 20}, 20.0,
+                    config);
+  spec.scenario.dynamics.model = DynamicsSpec::Model::kWaypoint;
+  spec.scenario.dynamics.epochs = 50;
+  spec.scenario.dynamics.epoch_duration = 1.0;  // one HELLO period
+  spec.scenario.dynamics.refresh_interval = 5;  // OLSR's TC/HELLO ratio
+  return spec;
+}
+
 ExperimentSpec figure_r_spec(const FigureConfig& config) {
-  ExperimentSpec spec;
-  spec.name = "figR_delivery_vs_loss";
-  spec.backend = BackendId::kPacket;
-  spec.metric = MetricId::kBandwidth;
-  spec.selectors = {"olsr_mpr", "qolsr_mpr1", "qolsr_mpr2",
-                    "topology_filtering", "fnbp"};
-  spec.scenario.sweep_axis = Scenario::SweepAxis::kLoss;
-  spec.scenario.densities = {0.0, 0.1, 0.2, 0.3, 0.4};  // P(frame lost)
-  spec.scenario.field.degree = 10.0;
-  // Multi-hop flows: every traversed hop is another chance for the medium
-  // to eat the frame, which the paper's 2-hop pairs would mostly hide.
-  spec.scenario.pair_mode = Scenario::PairMode::kAnyConnected;
+  // Sweep values are P(frame lost).
+  ExperimentSpec spec = letter_figure(
+      "figR_delivery_vs_loss", BackendId::kPacket, Scenario::SweepAxis::kLoss,
+      {0.0, 0.1, 0.2, 0.3, 0.4}, 10.0, config);
   // Eight probes resolve the per-run delivery ratio in 1/8 steps instead
   // of {0, 1}; one crash incident per run times re-convergence while the
   // loss column measures steady-state degradation.
@@ -85,59 +91,35 @@ ExperimentSpec figure_r_spec(const FigureConfig& config) {
   crash.count = 1;
   crash.duration = 10.0;
   spec.scenario.faults.incidents.push_back(crash);
-  spec.scenario.runs = config.runs;
-  spec.scenario.seed = config.seed;
-  spec.threads = config.threads;
   return spec;
 }
 
 ExperimentSpec figure_l_spec(const FigureConfig& config) {
-  ExperimentSpec spec;
-  spec.name = "figL_qos_under_load";
-  spec.backend = BackendId::kPacket;
-  spec.metric = MetricId::kBandwidth;
-  spec.selectors = {"olsr_mpr", "qolsr_mpr1", "qolsr_mpr2",
-                    "topology_filtering", "fnbp"};
-  spec.scenario.sweep_axis = Scenario::SweepAxis::kLoad;
-  spec.scenario.densities = {0.25, 0.5, 1.0, 2.0, 4.0};  // load multiplier
-  spec.scenario.field.degree = 10.0;
-  // Multi-hop flows: congestion compounds per traversed hop, and relay
-  // links near the gateway of a flow pattern saturate first — effects the
-  // paper's 2-hop pairs would mostly hide.
-  spec.scenario.pair_mode = Scenario::PairMode::kAnyConnected;
+  // Sweep values multiply the offered load. Relay links near the gateway
+  // of a flow pattern saturate first.
+  ExperimentSpec spec = letter_figure(
+      "figL_qos_under_load", BackendId::kPacket, Scenario::SweepAxis::kLoad,
+      {0.25, 0.5, 1.0, 2.0, 4.0}, 10.0, config);
   spec.scenario.traffic.arrival = TrafficSpec::Arrival::kPoisson;
   spec.scenario.traffic.pattern = TrafficSpec::Pattern::kUniform;
   spec.scenario.traffic.flows = 16;
   spec.scenario.traffic.packet_rate = 20.0;
   spec.scenario.traffic.duration = 10.0;
-  spec.scenario.runs = config.runs;
-  spec.scenario.seed = config.seed;
-  spec.threads = config.threads;
   return spec;
 }
 
 ExperimentSpec figure_b_spec(const FigureConfig& config) {
-  ExperimentSpec spec;
-  spec.name = "figB_delivery_vs_adversaries";
-  spec.backend = BackendId::kPacket;
-  spec.metric = MetricId::kBandwidth;
-  spec.selectors = {"olsr_mpr", "qolsr_mpr1", "qolsr_mpr2",
-                    "topology_filtering", "fnbp"};
-  spec.scenario.sweep_axis = Scenario::SweepAxis::kAdversary;
-  spec.scenario.densities = {0.0, 0.05, 0.1, 0.2, 0.3};  // roster fraction
-  spec.scenario.field.degree = 10.0;
-  // Multi-hop flows: every traversed relay is another chance to hand the
-  // probe to a roster member, which the paper's 2-hop pairs would hide.
-  spec.scenario.pair_mode = Scenario::PairMode::kAnyConnected;
+  // Sweep values are roster fractions.
+  ExperimentSpec spec =
+      letter_figure("figB_delivery_vs_adversaries", BackendId::kPacket,
+                    Scenario::SweepAxis::kAdversary,
+                    {0.0, 0.05, 0.1, 0.2, 0.3}, 10.0, config);
   // Eight probes resolve the per-run delivery ratio; blackholes absorb
   // what is routed through them, liars bend the routes toward phantom
   // links — selectors that concentrate trust in fewer relays pay more.
   spec.scenario.probe_packets = 8;
   spec.scenario.adversaries.kinds = {AdversaryKind::kBlackhole,
                                      AdversaryKind::kLiar};
-  spec.scenario.runs = config.runs;
-  spec.scenario.seed = config.seed;
-  spec.threads = config.threads;
   return spec;
 }
 
@@ -185,207 +167,32 @@ ExperimentSpec figure_by_name(std::string_view name,
                         "' is not a figure (valid: " + figure_names() + ")");
 }
 
-util::Table traffic_table(const std::vector<DensityStats>& sweep,
-                          const std::string& axis) {
-  std::vector<std::string> header{axis};
-  if (!sweep.empty()) {
-    for (const ProtocolStats& p : sweep.front().protocols) {
-      header.push_back(p.name + "_delivery");
-      header.push_back(p.name + "_qdrops");
-      header.push_back(p.name + "_p95_ms");
-    }
-  }
-  util::Table table(std::move(header));
-  for (const DensityStats& d : sweep) {
-    std::vector<std::string> cells{util::format_double(d.density, 2)};
-    for (const ProtocolStats& p : d.protocols) {
-      cells.push_back(util::format_double(p.traffic.delivery_ratio(), 3));
-      cells.push_back(
-          util::format_double(static_cast<double>(p.traffic.queue_drops), 0));
-      const DistributionSummary latency =
-          summarize_distribution(p.traffic.latency);
-      cells.push_back(util::format_double(latency.p95 * 1000.0, 2));
-    }
-    table.add_row(std::move(cells));
-  }
-  return table;
-}
-
-util::Table degradation_table(const std::vector<DensityStats>& sweep,
-                              const std::string& axis) {
-  std::vector<std::string> header{axis};
-  if (!sweep.empty()) {
-    for (const ProtocolStats& p : sweep.front().protocols) {
-      header.push_back(p.name + "_delivery");
-      header.push_back(p.name + "_blackhole");
-      header.push_back(p.name + "_reconv_s");
-    }
-  }
-  util::Table table(std::move(header));
-  for (const DensityStats& d : sweep) {
-    std::vector<std::string> cells{util::format_double(d.density, 2)};
-    for (const ProtocolStats& p : d.protocols) {
-      cells.push_back(util::format_double(p.delivery_ratio(), 3));
-      cells.push_back(
-          util::format_double(static_cast<double>(p.no_route_losses), 0));
-      cells.push_back(
-          util::format_double(p.control.reconvergence_time.mean(), 2));
-    }
-    table.add_row(std::move(cells));
-  }
-  return table;
-}
-
-util::Table invariants_table(const std::vector<DensityStats>& sweep,
-                             const std::string& axis) {
-  std::vector<std::string> header{axis};
-  if (!sweep.empty()) {
-    for (const ProtocolStats& p : sweep.front().protocols) {
-      header.push_back(p.name + "_delivery");
-      header.push_back(p.name + "_violations");
-      header.push_back(p.name + "_poisoned");
-    }
-  }
-  util::Table table(std::move(header));
-  for (const DensityStats& d : sweep) {
-    std::vector<std::string> cells{util::format_double(d.density, 2)};
-    for (const ProtocolStats& p : d.protocols) {
-      cells.push_back(util::format_double(p.delivery_ratio(), 3));
-      cells.push_back(util::format_double(
-          static_cast<double>(p.invariants.counters.total()), 0));
-      cells.push_back(util::format_double(
-          static_cast<double>(p.invariants.poisoned_routes), 0));
-    }
-    table.add_row(std::move(cells));
-  }
-  return table;
-}
-
-std::vector<DensityStats> bandwidth_sweep(const FigureConfig& config) {
-  return run_experiment(figure_spec(6, config)).sweep;
-}
-
-std::vector<DensityStats> delay_sweep(const FigureConfig& config) {
-  return run_experiment(figure_spec(7, config)).sweep;
-}
-
-util::Table set_size_table(const std::vector<DensityStats>& sweep,
-                           const std::string& axis) {
-  std::vector<std::string> header{axis};
+util::Table protocol_table(const std::vector<DensityStats>& sweep,
+                           Scenario::SweepAxis axis,
+                           std::span<const TableColumn> columns) {
+  const int axis_decimals = axis == Scenario::SweepAxis::kDensity ||
+                                    axis == Scenario::SweepAxis::kSpeed
+                                ? 0
+                                : 2;
+  std::vector<std::string> header{sweep_axis_name(axis)};
+  for (const TableColumn& c : columns)
+    if (c.point_cell) header.emplace_back(c.name);
   if (!sweep.empty())
     for (const ProtocolStats& p : sweep.front().protocols)
-      header.push_back(p.name);
+      for (const TableColumn& c : columns)
+        if (c.protocol_cell) header.push_back(p.name + std::string(c.name));
   util::Table table(std::move(header));
   for (const DensityStats& d : sweep) {
-    std::vector<double> row;
-    for (const ProtocolStats& p : d.protocols) row.push_back(p.set_size.mean());
-    table.add_row(d.density, row, 3);
-  }
-  return table;
-}
-
-util::Table overhead_table(const std::vector<DensityStats>& sweep,
-                           const std::string& axis) {
-  std::vector<std::string> header{axis};
-  if (!sweep.empty())
-    for (const ProtocolStats& p : sweep.front().protocols)
-      header.push_back(p.name);
-  util::Table table(std::move(header));
-  for (const DensityStats& d : sweep) {
-    std::vector<double> row;
-    for (const ProtocolStats& p : d.protocols) row.push_back(p.overhead.mean());
-    table.add_row(d.density, row, 4);
-  }
-  return table;
-}
-
-util::Table diagnostics_table(const std::vector<DensityStats>& sweep,
-                              const std::string& axis) {
-  std::vector<std::string> header{axis, "avg_nodes"};
-  if (!sweep.empty()) {
-    for (const ProtocolStats& p : sweep.front().protocols) {
-      header.push_back(p.name + "_delivered");
-      header.push_back(p.name + "_hops");
-    }
-  }
-  util::Table table(std::move(header));
-  for (const DensityStats& d : sweep) {
-    std::vector<std::string> cells{util::format_double(d.density, 0),
-                                   util::format_double(d.node_count.mean(), 1)};
-    for (const ProtocolStats& p : d.protocols) {
-      cells.push_back(util::format_double(static_cast<double>(p.delivered), 0) +
-                      "/" +
-                      util::format_double(
-                          static_cast<double>(p.delivered + p.failed), 0));
-      cells.push_back(util::format_double(p.path_hops.mean(), 2));
-    }
+    std::vector<std::string> cells{
+        util::format_double(d.density, axis_decimals)};
+    for (const TableColumn& c : columns)
+      if (c.point_cell) cells.push_back(c.point_cell(d));
+    for (const ProtocolStats& p : d.protocols)
+      for (const TableColumn& c : columns)
+        if (c.protocol_cell) cells.push_back(c.protocol_cell(p));
     table.add_row(std::move(cells));
   }
   return table;
-}
-
-util::Table dynamics_table(const std::vector<DensityStats>& sweep,
-                           const std::string& axis) {
-  std::vector<std::string> header{axis};
-  if (!sweep.empty()) {
-    for (const ProtocolStats& p : sweep.front().protocols) {
-      header.push_back(p.name + "_delivery");
-      header.push_back(p.name + "_stretch");
-      header.push_back(p.name + "_readv");
-    }
-  }
-  util::Table table(std::move(header));
-  for (const DensityStats& d : sweep) {
-    std::vector<std::string> cells{util::format_double(d.density, 0)};
-    for (const ProtocolStats& p : d.protocols) {
-      cells.push_back(util::format_double(p.delivery_ratio(), 3));
-      cells.push_back(util::format_double(p.stretch.mean(), 3));
-      cells.push_back(util::format_double(p.readvertised.mean(), 1));
-    }
-    table.add_row(std::move(cells));
-  }
-  return table;
-}
-
-util::Table control_plane_table(const std::vector<DensityStats>& sweep,
-                                const std::string& axis) {
-  std::vector<std::string> header{axis};
-  if (!sweep.empty()) {
-    for (const ProtocolStats& p : sweep.front().protocols) {
-      header.push_back(p.name + "_tcs");
-      header.push_back(p.name + "_bytes");
-      header.push_back(p.name + "_conv_s");
-    }
-  }
-  util::Table table(std::move(header));
-  for (const DensityStats& d : sweep) {
-    std::vector<std::string> cells{util::format_double(d.density, 0)};
-    for (const ProtocolStats& p : d.protocols) {
-      cells.push_back(util::format_double(
-          p.control.tc_msgs.mean() + p.control.tc_forwards.mean(), 1));
-      cells.push_back(util::format_double(p.control.control_bytes.mean(), 0));
-      cells.push_back(
-          util::format_double(p.control.convergence_time.mean(), 2));
-    }
-    table.add_row(std::move(cells));
-  }
-  return table;
-}
-
-util::Table figure6_ans_size_bandwidth(const FigureConfig& config) {
-  return set_size_table(bandwidth_sweep(config));
-}
-
-util::Table figure7_ans_size_delay(const FigureConfig& config) {
-  return set_size_table(delay_sweep(config));
-}
-
-util::Table figure8_bandwidth_overhead(const FigureConfig& config) {
-  return overhead_table(bandwidth_sweep(config));
-}
-
-util::Table figure9_delay_overhead(const FigureConfig& config) {
-  return overhead_table(delay_sweep(config));
 }
 
 }  // namespace qolsr

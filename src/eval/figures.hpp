@@ -2,6 +2,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <string>
+#include <string_view>
 
 #include "eval/experiment.hpp"
 #include "util/table.hpp"
@@ -21,9 +24,7 @@ struct FigureConfig {
 /// figure's metric and densities, the paper's three contenders
 /// (qolsr_mpr2, topology_filtering, fnbp) in legend order, and the
 /// config's runs/seed/threads. Throws ExperimentError for figures outside
-/// 6–9. The figureN_* helpers below are exactly
-/// `run_experiment(figure_spec(N, config))` plus table formatting —
-/// anything they can compute, `qolsr_eval --figure=N` reproduces.
+/// 6–9. `qolsr_eval --figure=N` runs exactly this spec.
 ExperimentSpec figure_spec(int figure, const FigureConfig& config = {});
 
 /// "Fig. M" — the repository's canned mobility figure (the paper stops at
@@ -80,63 +81,23 @@ std::string figure_names();
 ExperimentSpec figure_by_name(std::string_view name,
                               const FigureConfig& config = {});
 
-/// Fig. 6 — size of the advertised set vs. density, bandwidth metric.
-util::Table figure6_ans_size_bandwidth(const FigureConfig& config = {});
+/// One column of a pretty sweep table (protocol_table). Exactly one cell
+/// function is set: a per-protocol column repeats for every protocol,
+/// headed `<protocol name><name>`; a per-point column appears once per
+/// sweep point, headed `name`.
+struct TableColumn {
+  std::string_view name;
+  std::string (*protocol_cell)(const ProtocolStats&) = nullptr;
+  std::string (*point_cell)(const DensityStats&) = nullptr;
+};
 
-/// Fig. 7 — size of the advertised set vs. density, delay metric.
-util::Table figure7_ans_size_delay(const FigureConfig& config = {});
-
-/// Fig. 8 — bandwidth overhead (b*−b)/b* vs. density.
-util::Table figure8_bandwidth_overhead(const FigureConfig& config = {});
-
-/// Fig. 9 — delay overhead (d−d*)/d* vs. density.
-util::Table figure9_delay_overhead(const FigureConfig& config = {});
-
-/// Runs the three-protocol sweep underlying a bandwidth figure once and
-/// returns the raw per-density stats (used by benches that print both set
-/// size and overhead without recomputing).
-std::vector<DensityStats> bandwidth_sweep(const FigureConfig& config);
-std::vector<DensityStats> delay_sweep(const FigureConfig& config);
-
-/// Formats a sweep as the paper's Fig. 6/7 series (mean |ANS| per node).
-/// `axis` labels the x column ("density" for Figs. 6-9, "speed" for
-/// dynamics speed sweeps — see sweep_axis_name).
-util::Table set_size_table(const std::vector<DensityStats>& sweep,
-                           const std::string& axis = "density");
-/// Formats a sweep as the paper's Fig. 8/9 series (mean QoS overhead).
-util::Table overhead_table(const std::vector<DensityStats>& sweep,
-                           const std::string& axis = "density");
-/// Companion diagnostics: delivery counts, path lengths, node counts.
-util::Table diagnostics_table(const std::vector<DensityStats>& sweep,
-                              const std::string& axis = "density");
-/// The dynamics (epoch-loop) series: delivery ratio, hop stretch, and TC
-/// re-advertisements per refresh (the CSV/JSON sinks additionally split
-/// failures into stale-link drops vs. the rest). Meaningful only for
-/// sweeps run with a mobility model.
-util::Table dynamics_table(const std::vector<DensityStats>& sweep,
-                           const std::string& axis = "speed");
-/// The packet-backend control-plane series: mean TC messages (originated +
-/// MPR forwards), broadcast control bytes, and measured convergence time
-/// per run. Meaningful only for sweeps run with --backend=packet (the
-/// oracle leaves ControlPlaneStats empty).
-util::Table control_plane_table(const std::vector<DensityStats>& sweep,
-                                const std::string& axis = "density");
-/// The fault-engine degradation series: delivery ratio, blackhole (no
-/// route) drop count, and mean re-convergence seconds after injected
-/// incidents. Meaningful only for packet-backend sweeps with an active
-/// FaultPlan (or the loss axis).
-util::Table degradation_table(const std::vector<DensityStats>& sweep,
-                              const std::string& axis = "loss");
-/// The traffic-workload series: flow delivery ratio, queue-drop count,
-/// and p95 end-to-end latency (ms) under load. Meaningful only for
-/// packet-backend sweeps with an active TrafficSpec (or the load axis).
-util::Table traffic_table(const std::vector<DensityStats>& sweep,
-                          const std::string& axis = "load");
-/// The adversary-engine series: delivery ratio, invariant violations
-/// caught by the runtime monitor, and poisoned-route count per sweep
-/// point. Meaningful only for packet-backend sweeps with an active
-/// AdversarySpec (or the adversary axis).
-util::Table invariants_table(const std::vector<DensityStats>& sweep,
-                             const std::string& axis = "adversary");
+/// Formats a sweep as a table: the sweep-axis column, then the per-point
+/// columns, then each protocol's per-protocol columns. The axis column is
+/// labelled by the axis and formatted once per axis: whole numbers for the
+/// density and speed axes, two decimals for the fractional loss, load and
+/// adversary axes.
+util::Table protocol_table(const std::vector<DensityStats>& sweep,
+                           Scenario::SweepAxis axis,
+                           std::span<const TableColumn> columns);
 
 }  // namespace qolsr

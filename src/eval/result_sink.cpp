@@ -1,8 +1,13 @@
 #include "eval/result_sink.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <ostream>
+#include <span>
+#include <string>
+#include <variant>
+#include <vector>
 
 #include "eval/figures.hpp"
 
@@ -72,66 +77,6 @@ std::string json_stats(const util::RunningStats& s) {
          "}";
 }
 
-/// Long-format CSV of a dynamics (epoch-loop) result: one row per
-/// (sweep point, protocol), the sweep axis labeled by its meaning. Every
-/// attempted epoch packet had a connected (source, destination) pair;
-/// `failed` counts all undelivered packets and `stale_losses` the subset
-/// dropped handing off over a vanished advertised link (kStaleLink) —
-/// the losses chargeable specifically to advertisement age.
-void write_dynamic_csv(const ExperimentResult& result, std::ostream& os) {
-  os << "metric," << sweep_axis_name(result.spec.scenario.sweep_axis)
-     << ",runs,epochs,avg_nodes,protocol,set_size_mean,set_size_stddev,"
-        "packets,delivered,failed,stale_losses,delivery_ratio,overhead_mean,"
-        "stretch_mean,path_hops_mean,readvertised_mean\n";
-  const std::string metric{metric_name(result.spec.metric)};
-  for (const DensityStats& d : result.sweep) {
-    for (const ProtocolStats& p : d.protocols) {
-      os << metric << ',' << fmt(d.density) << ',' << d.runs << ','
-         << result.spec.scenario.dynamics.epochs << ','
-         << fmt(d.node_count.mean()) << ',' << p.name << ','
-         << fmt(p.set_size.mean()) << ',' << fmt(p.set_size.stddev()) << ','
-         << p.delivered + p.failed << ',' << p.delivered << ',' << p.failed
-         << ',' << p.stale_losses << ',' << fmt(p.delivery_ratio()) << ','
-         << fmt(p.overhead.mean()) << ',' << fmt(p.stretch.mean()) << ','
-         << fmt(p.path_hops.mean()) << ',' << fmt(p.readvertised.mean())
-         << '\n';
-    }
-  }
-}
-
-/// The fault-engine columns/fields exist only where they can be nonzero:
-/// a packet-backend result whose scenario carries an active FaultPlan or
-/// sweeps the loss axis. Everything else — including a packet sweep with
-/// no fault flags — keeps its pre-fault-engine byte layout, which is what
-/// the fault-free golden pins (and the figure-R loss = 0 column check)
-/// hold the engine to.
-bool fault_mode(const ExperimentSpec& spec) {
-  return spec.backend == BackendId::kPacket &&
-         (spec.scenario.faults.active() ||
-          spec.scenario.sweep_axis == Scenario::SweepAxis::kLoss);
-}
-
-/// Same opt-in discipline for the traffic-workload columns/fields: they
-/// exist only where a flow schedule can have run — a packet-backend result
-/// whose scenario carries an active TrafficSpec or sweeps the load axis.
-/// A packet sweep with no traffic flags keeps its pre-traffic byte layout.
-bool traffic_mode(const ExperimentSpec& spec) {
-  return spec.backend == BackendId::kPacket &&
-         (spec.scenario.traffic.active() ||
-          spec.scenario.sweep_axis == Scenario::SweepAxis::kLoad);
-}
-
-/// Same opt-in discipline for the adversary-engine columns/fields: they
-/// exist only where a roster (or the wire-corruption gate) can have run —
-/// a packet-backend result whose scenario carries an active AdversarySpec
-/// or sweeps the adversary axis. A packet sweep with no adversary flags
-/// keeps its pre-adversary byte layout.
-bool adversary_mode(const ExperimentSpec& spec) {
-  return spec.backend == BackendId::kPacket &&
-         (spec.scenario.adversaries.active() ||
-          spec.scenario.sweep_axis == Scenario::SweepAxis::kAdversary);
-}
-
 /// JSON object form of a DistributionSummary.
 std::string json_distribution(const util::DistributionAccumulator& dist) {
   const DistributionSummary s = summarize_distribution(dist);
@@ -148,285 +93,515 @@ std::string json_distribution(const util::DistributionAccumulator& dist) {
   return out;
 }
 
-/// The 12 aggregate columns shared by both static CSV layouts (oracle and
-/// packet) — one writer, so the "figure tooling reads either" contract
-/// cannot drift between the two. The sweep-axis column is labeled by its
-/// meaning; for the default density axis this is byte-identical to the
-/// pre-loss-axis header.
-std::string static_csv_header(const ExperimentSpec& spec) {
-  return std::string("metric,") + sweep_axis_name(spec.scenario.sweep_axis) +
-         ",runs,avg_nodes,protocol,set_size_mean,"
-         "set_size_stddev,delivered,failed,overhead_mean,overhead_stddev,"
-         "path_hops_mean";
+// ---------------------------------------------------------- output blocks --
+
+/// The blocks a result's output is made of. Each is declared once below —
+/// a CSV column list and, where the pretty view shows it, a table section —
+/// and switched on for a result by active_blocks().
+enum Block : unsigned {
+  kCore = 1u << 0,          ///< static-sweep aggregates (Figs. 6-9)
+  kDynamics = 1u << 1,      ///< epoch-loop aggregates, in place of kCore
+  kControlPlane = 1u << 2,  ///< packet backend: control-plane cost
+  kFaults = 1u << 3,        ///< fault engine
+  kTraffic = 1u << 4,       ///< traffic workload
+  kAdversary = 1u << 5,     ///< adversary engine
+};
+using Blocks = unsigned;
+
+/// The one decision of which blocks a result emits, shared by every sink.
+/// An engine block exists only where it can be nonzero: a packet-backend
+/// result whose scenario carries that engine's active spec or sweeps its
+/// axis. Everything else — including a packet sweep with no engine flags —
+/// keeps the byte layout that predates the engine, which is what the
+/// fault-free golden pins (and the loss = 0, load = 0 and fraction = 0
+/// column checks) hold the engines to.
+Blocks active_blocks(const ExperimentSpec& spec) {
+  const Scenario& s = spec.scenario;
+  if (s.dynamics.enabled()) return kDynamics;
+  if (spec.backend != BackendId::kPacket) return kCore;
+  Blocks blocks = kCore | kControlPlane;
+  if (s.faults.active() || s.sweep_axis == Scenario::SweepAxis::kLoss)
+    blocks |= kFaults;
+  if (s.traffic.active() || s.sweep_axis == Scenario::SweepAxis::kLoad)
+    blocks |= kTraffic;
+  if (s.adversaries.active() ||
+      s.sweep_axis == Scenario::SweepAxis::kAdversary)
+    blocks |= kAdversary;
+  return blocks;
 }
 
-void write_static_csv_row_prefix(const ExperimentResult& result,
-                                 const DensityStats& d,
-                                 const ProtocolStats& p, std::ostream& os) {
-  os << metric_name(result.spec.metric) << ',' << fmt(d.density) << ','
-     << d.runs << ',' << fmt(d.node_count.mean()) << ',' << p.name << ','
-     << fmt(p.set_size.mean()) << ',' << fmt(p.set_size.stddev()) << ','
-     << p.delivered << ',' << p.failed << ',' << fmt(p.overhead.mean()) << ','
-     << fmt(p.overhead.stddev()) << ',' << fmt(p.path_hops.mean());
+/// One emitted value, rendered by each format in its own syntax: a blank
+/// is an empty CSV field and an omitted JSON field, a flag is 1/0 in CSV
+/// and true/false in JSON, and a non-finite number is null in JSON.
+using Value =
+    std::variant<std::monostate, double, std::uint64_t, bool, std::string_view>;
+
+void write_csv_value(std::ostream& os, const Value& v) {
+  if (const auto* x = std::get_if<double>(&v)) os << fmt(*x);
+  else if (const auto* n = std::get_if<std::uint64_t>(&v)) os << *n;
+  else if (const auto* b = std::get_if<bool>(&v)) os << (*b ? 1 : 0);
+  else if (const auto* t = std::get_if<std::string_view>(&v)) os << *t;
 }
 
-/// The optional per-run-records block shared by both static CSV layouts:
-/// a second header+rows table after a blank line, present only when the
-/// result recorded runs.
-void write_run_records_csv(const ExperimentResult& result, std::ostream& os) {
-  bool has_records = false;
-  for (const DensityStats& d : result.sweep)
-    has_records = has_records || !d.run_records.empty();
-  if (!has_records) return;
+/// JSON renders only per-run record fields, which carry no text.
+void write_json_value(std::ostream& os, const Value& v) {
+  if (const auto* x = std::get_if<double>(&v)) os << json_num(*x);
+  else if (const auto* n = std::get_if<std::uint64_t>(&v)) os << *n;
+  else if (const auto* b = std::get_if<bool>(&v)) os << (*b ? "true" : "false");
+}
 
-  // Packet-backend records additionally carry the per-run control-plane
-  // outcome — convergence time, the honest converged flag, control bytes,
-  // and the probe split; the oracle layout is pinned and keeps its form.
-  const bool packet = result.spec.backend == BackendId::kPacket;
-  const bool traffic = traffic_mode(result.spec);
-  const bool adversary = adversary_mode(result.spec);
-  os << '\n' << sweep_axis_name(result.spec.scenario.sweep_axis)
-     << ",run,nodes,protocol,set_size,delivered,value,overhead,path_hops";
-  if (packet)
-    os << ",convergence_time,converged,control_bytes,probes_delivered,"
-          "probes_failed";
-  if (traffic) os << ",traffic_offered,traffic_delivered,traffic_latency_p95";
-  if (adversary) os << ",invariant_violations,poisoned_routes";
-  os << '\n';
-  for (const DensityStats& d : result.sweep) {
-    for (const RunRecord& r : d.run_records) {
-      for (std::size_t si = 0; si < r.protocols.size(); ++si) {
-        const RunRecord::Protocol& rp = r.protocols[si];
-        os << fmt(d.density) << ',' << r.run_index << ',' << r.nodes << ','
-           << d.protocols[si].name << ',' << fmt(rp.set_size) << ','
-           << (rp.delivered ? 1 : 0) << ',';
-        if (rp.delivered || (packet && rp.probes_delivered > 0)) {
-          os << fmt(rp.value) << ',' << fmt(rp.overhead) << ',' << rp.hops;
-        } else {
-          os << ",,";
-        }
-        if (packet) {
-          os << ',' << fmt(rp.convergence_time) << ',' << (rp.converged ? 1 : 0)
-             << ',' << fmt(rp.control_bytes) << ',' << rp.probes_delivered
-             << ',' << rp.probes_failed;
-        }
-        if (traffic) {
-          os << ',' << rp.traffic_offered << ',' << rp.traffic_delivered
-             << ',' << fmt(rp.traffic_latency_p95);
-        }
-        if (adversary) {
-          os << ',' << rp.invariant_violations << ',' << rp.poisoned_routes;
-        }
-        os << '\n';
-      }
-    }
+/// One column: its header and the cell it reads from a row.
+template <typename Row>
+struct Column {
+  /// Takes the cell as a captureless lambda over the row whose result
+  /// converts to a Value.
+  template <typename Cell>
+  constexpr Column(std::string_view header, Cell,
+                   std::string_view json_key = {})
+      : header(header),
+        json_key(json_key),
+        cell([](const Row& row) -> Value { return Cell{}(row); }) {}
+
+  /// CSV header; empty labels the column with the result's sweep axis.
+  std::string_view header;
+  /// JSON key where it differs from the CSV header (record fields only).
+  std::string_view json_key;
+  Value (*cell)(const Row&);
+};
+
+/// A block's column list, emitted when its block is active.
+template <typename Row>
+struct ColumnBlock {
+  Blocks block;
+  std::span<const Column<Row>> columns;
+};
+
+/// One aggregate row: a protocol at a sweep point, plus the distribution
+/// summaries its active blocks report (one sort each per row).
+struct AggregateRow {
+  const ExperimentSpec& spec;
+  const DensityStats& d;
+  const ProtocolStats& p;
+  DistributionSummary probe_delivery, latency, flow_delivery, throughput;
+};
+using Agg = const AggregateRow&;
+
+AggregateRow aggregate_row(const ExperimentSpec& spec, const DensityStats& d,
+                           const ProtocolStats& p, Blocks active) {
+  AggregateRow row{spec, d, p};
+  if (active & kFaults)
+    row.probe_delivery = summarize_distribution(p.probe_delivery);
+  if (active & kTraffic) {
+    row.latency = summarize_distribution(p.traffic.latency);
+    row.flow_delivery = summarize_distribution(p.traffic.flow_delivery);
+    row.throughput = summarize_distribution(p.traffic.flow_throughput);
   }
+  return row;
 }
 
-/// Long-format CSV of a packet-backend result: the oracle columns (same
-/// order, so figure tooling reads either) followed by the control-plane
-/// block the oracle cannot measure — per-run mean message/byte counts,
+/// The value of an engine's swept parameter at a row: the sweep value on
+/// that engine's own axis, the spec's setting otherwise.
+double swept(Agg r, Scenario::SweepAxis axis, double fixed) {
+  return r.spec.scenario.sweep_axis == axis ? r.d.density : fixed;
+}
+
+constexpr Column<AggregateRow> kMetric{
+    "metric", [](Agg r) { return metric_name(r.spec.metric); }};
+constexpr Column<AggregateRow> kAxis{"", [](Agg r) { return r.d.density; }};
+constexpr Column<AggregateRow> kRuns{"runs", [](Agg r) { return r.d.runs; }};
+constexpr Column<AggregateRow> kAvgNodes{
+    "avg_nodes", [](Agg r) { return r.d.node_count.mean(); }};
+constexpr Column<AggregateRow> kProtocol{
+    "protocol", [](Agg r) { return std::string_view(r.p.name); }};
+constexpr Column<AggregateRow> kSetSizeMean{
+    "set_size_mean", [](Agg r) { return r.p.set_size.mean(); }};
+constexpr Column<AggregateRow> kSetSizeStddev{
+    "set_size_stddev", [](Agg r) { return r.p.set_size.stddev(); }};
+constexpr Column<AggregateRow> kDelivered{
+    "delivered", [](Agg r) { return r.p.delivered; }};
+constexpr Column<AggregateRow> kFailed{
+    "failed", [](Agg r) { return r.p.failed; }};
+constexpr Column<AggregateRow> kOverheadMean{
+    "overhead_mean", [](Agg r) { return r.p.overhead.mean(); }};
+constexpr Column<AggregateRow> kPathHopsMean{
+    "path_hops_mean", [](Agg r) { return r.p.path_hops.mean(); }};
+constexpr Column<AggregateRow> kDeliveryRatio{
+    "delivery_ratio", [](Agg r) { return r.p.delivery_ratio(); }};
+
+/// The static-sweep aggregates, shared by the oracle and packet layouts so
+/// figure tooling reads either.
+constexpr Column<AggregateRow> kCoreColumns[] = {
+    kMetric, kAxis, kRuns, kAvgNodes, kProtocol, kSetSizeMean, kSetSizeStddev,
+    kDelivered, kFailed, kOverheadMean,
+    {"overhead_stddev", [](Agg r) { return r.p.overhead.stddev(); }},
+    kPathHopsMean,
+};
+
+/// The epoch-loop aggregates. Every attempted epoch packet had a connected
+/// (source, destination) pair; `failed` counts all undelivered packets and
+/// `stale_losses` the subset dropped handing off over a vanished
+/// advertised link — the losses chargeable to advertisement age.
+constexpr Column<AggregateRow> kDynamicsColumns[] = {
+    kMetric, kAxis, kRuns,
+    {"epochs", [](Agg r) { return r.spec.scenario.dynamics.epochs; }},
+    kAvgNodes, kProtocol, kSetSizeMean, kSetSizeStddev,
+    {"packets", [](Agg r) { return r.p.delivered + r.p.failed; }},
+    kDelivered, kFailed,
+    {"stale_losses", [](Agg r) { return r.p.stale_losses; }},
+    kDeliveryRatio, kOverheadMean,
+    {"stretch_mean", [](Agg r) { return r.p.stretch.mean(); }},
+    kPathHopsMean,
+    {"readvertised_mean", [](Agg r) { return r.p.readvertised.mean(); }},
+};
+
+/// What the oracle cannot measure: per-run mean message and byte counts,
 /// duplicate-set hits, and the measured convergence time.
-void write_packet_csv(const ExperimentResult& result, std::ostream& os) {
-  const bool faults = fault_mode(result.spec);
-  const bool traffic = traffic_mode(result.spec);
-  const bool adversary = adversary_mode(result.spec);
-  os << static_csv_header(result.spec)
-     << ",hello_msgs_mean,tc_msgs_mean,tc_forwards_mean,"
-        "duplicate_drops_mean,control_bytes_mean,convergence_time_mean,"
-        "convergence_time_stddev,unconverged_runs";
-  if (faults)
-    os << ",loss_rate,probes,delivery_ratio,no_route_drops,loop_drops,"
-          "medium_drops,frames_lost_mean,frames_blocked_mean,"
-          "reconvergence_time_mean,reconv_unconverged,probe_delivery_p50,"
-          "probe_delivery_p95,probe_delivery_p99";
-  if (traffic)
-    os << ",load,offered,traffic_delivered,traffic_delivery_ratio,"
-          "queue_drops,traffic_no_route_drops,traffic_loop_drops,"
-          "traffic_medium_drops,latency_p50,latency_p95,latency_p99,"
-          "flow_delivery_p50,flow_delivery_p95,flow_delivery_p99,"
-          "throughput_p50,throughput_p95,throughput_p99";
-  if (adversary)
-    os << ",adversary_fraction,adversary_count,corrupt_rate,"
-          "adversary_delivery_ratio,invariant_violations,forwarding_loops,"
-          "blackhole_absorptions,mpr_refusals,ansn_regressions,"
-          "stale_tc_rejections,phantom_links,inflated_qos,poisoned_nodes,"
-          "poisoned_routes,frames_corrupted_mean,frames_malformed_mean,"
-          "first_violation_mean";
-  os << '\n';
-  const bool loss_axis =
-      result.spec.scenario.sweep_axis == Scenario::SweepAxis::kLoss;
-  const bool load_axis =
-      result.spec.scenario.sweep_axis == Scenario::SweepAxis::kLoad;
-  const bool adversary_axis =
-      result.spec.scenario.sweep_axis == Scenario::SweepAxis::kAdversary;
-  for (const DensityStats& d : result.sweep) {
-    for (const ProtocolStats& p : d.protocols) {
-      write_static_csv_row_prefix(result, d, p, os);
-      os << ',' << fmt(p.control.hello_msgs.mean()) << ','
-         << fmt(p.control.tc_msgs.mean()) << ','
-         << fmt(p.control.tc_forwards.mean()) << ','
-         << fmt(p.control.duplicate_drops.mean()) << ','
-         << fmt(p.control.control_bytes.mean()) << ','
-         << fmt(p.control.convergence_time.mean()) << ','
-         << fmt(p.control.convergence_time.stddev()) << ','
-         << p.control.unconverged;
-      if (faults) {
-        const double loss_rate =
-            loss_axis ? d.density : result.spec.scenario.faults.loss_rate;
-        const DistributionSummary probe_delivery =
-            summarize_distribution(p.probe_delivery);
-        os << ',' << fmt(loss_rate) << ','
-           << result.spec.scenario.probe_packets << ','
-           << fmt(p.delivery_ratio()) << ',' << p.no_route_losses << ','
-           << p.loop_losses << ',' << p.medium_losses << ','
-           << fmt(p.control.frames_lost.mean()) << ','
-           << fmt(p.control.frames_blocked.mean()) << ','
-           << fmt(p.control.reconvergence_time.mean()) << ','
-           << p.control.reconv_unconverged << ','
-           << fmt(probe_delivery.p50) << ',' << fmt(probe_delivery.p95)
-           << ',' << fmt(probe_delivery.p99);
-      }
-      if (traffic) {
-        const double load =
-            load_axis ? d.density : result.spec.scenario.traffic.load;
-        const DistributionSummary latency =
-            summarize_distribution(p.traffic.latency);
-        const DistributionSummary flow_delivery =
-            summarize_distribution(p.traffic.flow_delivery);
-        const DistributionSummary throughput =
-            summarize_distribution(p.traffic.flow_throughput);
-        os << ',' << fmt(load) << ',' << p.traffic.offered << ','
-           << p.traffic.delivered << ','
-           << fmt(p.traffic.delivery_ratio()) << ','
-           << p.traffic.queue_drops << ',' << p.traffic.no_route_drops
-           << ',' << p.traffic.loop_drops << ',' << p.traffic.medium_drops
-           << ',' << fmt(latency.p50) << ',' << fmt(latency.p95) << ','
-           << fmt(latency.p99) << ',' << fmt(flow_delivery.p50) << ','
-           << fmt(flow_delivery.p95) << ',' << fmt(flow_delivery.p99)
-           << ',' << fmt(throughput.p50) << ',' << fmt(throughput.p95)
-           << ',' << fmt(throughput.p99);
-      }
-      if (adversary) {
-        const AdversarySpec& adv = result.spec.scenario.adversaries;
-        const double fraction =
-            adversary_axis ? d.density : (adv.fraction >= 0.0 ? adv.fraction
-                                                              : 0.0);
-        const InvariantCounters& c = p.invariants.counters;
-        os << ',' << fmt(fraction) << ',' << adv.count << ','
-           << fmt(adv.corrupt_rate) << ',' << fmt(p.delivery_ratio()) << ','
-           << c.total() << ',' << c.forwarding_loops << ','
-           << c.blackhole_absorptions << ',' << c.mpr_refusals << ','
-           << c.ansn_regressions << ',' << c.stale_tc_rejections << ','
-           << c.phantom_links << ',' << c.inflated_qos << ','
-           << c.poisoned_nodes << ',' << p.invariants.poisoned_routes << ','
-           << fmt(p.invariants.frames_corrupted.mean()) << ','
-           << fmt(p.invariants.frames_malformed.mean()) << ','
-           << fmt(p.invariants.time_to_first_violation.mean());
-      }
-      os << '\n';
-    }
-  }
-  write_run_records_csv(result, os);
+constexpr Column<AggregateRow> kControlPlaneColumns[] = {
+    {"hello_msgs_mean", [](Agg r) { return r.p.control.hello_msgs.mean(); }},
+    {"tc_msgs_mean", [](Agg r) { return r.p.control.tc_msgs.mean(); }},
+    {"tc_forwards_mean", [](Agg r) { return r.p.control.tc_forwards.mean(); }},
+    {"duplicate_drops_mean",
+     [](Agg r) { return r.p.control.duplicate_drops.mean(); }},
+    {"control_bytes_mean",
+     [](Agg r) { return r.p.control.control_bytes.mean(); }},
+    {"convergence_time_mean",
+     [](Agg r) { return r.p.control.convergence_time.mean(); }},
+    {"convergence_time_stddev",
+     [](Agg r) { return r.p.control.convergence_time.stddev(); }},
+    {"unconverged_runs", [](Agg r) { return r.p.control.unconverged; }},
+};
+
+constexpr Column<AggregateRow> kFaultColumns[] = {
+    {"loss_rate", [](Agg r) {
+       return swept(r, Scenario::SweepAxis::kLoss,
+                    r.spec.scenario.faults.loss_rate);
+     }},
+    {"probes", [](Agg r) { return r.spec.scenario.probe_packets; }},
+    kDeliveryRatio,
+    {"no_route_drops", [](Agg r) { return r.p.no_route_losses; }},
+    {"loop_drops", [](Agg r) { return r.p.loop_losses; }},
+    {"medium_drops", [](Agg r) { return r.p.medium_losses; }},
+    {"frames_lost_mean", [](Agg r) { return r.p.control.frames_lost.mean(); }},
+    {"frames_blocked_mean",
+     [](Agg r) { return r.p.control.frames_blocked.mean(); }},
+    {"reconvergence_time_mean",
+     [](Agg r) { return r.p.control.reconvergence_time.mean(); }},
+    {"reconv_unconverged",
+     [](Agg r) { return r.p.control.reconv_unconverged; }},
+    {"probe_delivery_p50", [](Agg r) { return r.probe_delivery.p50; }},
+    {"probe_delivery_p95", [](Agg r) { return r.probe_delivery.p95; }},
+    {"probe_delivery_p99", [](Agg r) { return r.probe_delivery.p99; }},
+};
+
+constexpr Column<AggregateRow> kTrafficColumns[] = {
+    {"load", [](Agg r) {
+       return swept(r, Scenario::SweepAxis::kLoad,
+                    r.spec.scenario.traffic.load);
+     }},
+    {"offered", [](Agg r) { return r.p.traffic.offered; }},
+    {"traffic_delivered", [](Agg r) { return r.p.traffic.delivered; }},
+    {"traffic_delivery_ratio",
+     [](Agg r) { return r.p.traffic.delivery_ratio(); }},
+    {"queue_drops", [](Agg r) { return r.p.traffic.queue_drops; }},
+    {"traffic_no_route_drops",
+     [](Agg r) { return r.p.traffic.no_route_drops; }},
+    {"traffic_loop_drops", [](Agg r) { return r.p.traffic.loop_drops; }},
+    {"traffic_medium_drops", [](Agg r) { return r.p.traffic.medium_drops; }},
+    {"latency_p50", [](Agg r) { return r.latency.p50; }},
+    {"latency_p95", [](Agg r) { return r.latency.p95; }},
+    {"latency_p99", [](Agg r) { return r.latency.p99; }},
+    {"flow_delivery_p50", [](Agg r) { return r.flow_delivery.p50; }},
+    {"flow_delivery_p95", [](Agg r) { return r.flow_delivery.p95; }},
+    {"flow_delivery_p99", [](Agg r) { return r.flow_delivery.p99; }},
+    {"throughput_p50", [](Agg r) { return r.throughput.p50; }},
+    {"throughput_p95", [](Agg r) { return r.throughput.p95; }},
+    {"throughput_p99", [](Agg r) { return r.throughput.p99; }},
+};
+
+constexpr Column<AggregateRow> kAdversaryColumns[] = {
+    {"adversary_fraction", [](Agg r) {
+       const double fraction = r.spec.scenario.adversaries.fraction;
+       return swept(r, Scenario::SweepAxis::kAdversary,
+                    fraction >= 0.0 ? fraction : 0.0);
+     }},
+    {"adversary_count",
+     [](Agg r) { return r.spec.scenario.adversaries.count; }},
+    {"corrupt_rate",
+     [](Agg r) { return r.spec.scenario.adversaries.corrupt_rate; }},
+    {"adversary_delivery_ratio", [](Agg r) { return r.p.delivery_ratio(); }},
+    {"invariant_violations",
+     [](Agg r) { return r.p.invariants.counters.total(); }},
+    {"forwarding_loops",
+     [](Agg r) { return r.p.invariants.counters.forwarding_loops; }},
+    {"blackhole_absorptions",
+     [](Agg r) { return r.p.invariants.counters.blackhole_absorptions; }},
+    {"mpr_refusals",
+     [](Agg r) { return r.p.invariants.counters.mpr_refusals; }},
+    {"ansn_regressions",
+     [](Agg r) { return r.p.invariants.counters.ansn_regressions; }},
+    {"stale_tc_rejections",
+     [](Agg r) { return r.p.invariants.counters.stale_tc_rejections; }},
+    {"phantom_links",
+     [](Agg r) { return r.p.invariants.counters.phantom_links; }},
+    {"inflated_qos",
+     [](Agg r) { return r.p.invariants.counters.inflated_qos; }},
+    {"poisoned_nodes",
+     [](Agg r) { return r.p.invariants.counters.poisoned_nodes; }},
+    {"poisoned_routes", [](Agg r) { return r.p.invariants.poisoned_routes; }},
+    {"frames_corrupted_mean",
+     [](Agg r) { return r.p.invariants.frames_corrupted.mean(); }},
+    {"frames_malformed_mean",
+     [](Agg r) { return r.p.invariants.frames_malformed.mean(); }},
+    {"first_violation_mean",
+     [](Agg r) { return r.p.invariants.time_to_first_violation.mean(); }},
+};
+
+constexpr ColumnBlock<AggregateRow> kAggregateBlocks[] = {
+    {kCore, kCoreColumns}, {kDynamics, kDynamicsColumns},
+    {kControlPlane, kControlPlaneColumns}, {kFaults, kFaultColumns},
+    {kTraffic, kTrafficColumns}, {kAdversary, kAdversaryColumns},
+};
+
+/// One per-run record row: one protocol's outcome in run `r` at sweep
+/// point `d`.
+struct RecordRow {
+  const DensityStats& d;
+  const RunRecord& r;
+  std::string_view protocol;
+  const RunRecord::Protocol& rp;
+};
+using Rec = const RecordRow&;
+
+/// A run's routed value, overhead and hop count exist when at least one of
+/// its probes arrived; otherwise they are blank.
+template <typename T>
+Value when_routed(Rec r, T value) {
+  if (r.rp.delivered || r.rp.probes_delivered > 0) return value;
+  return std::monostate{};
 }
+
+constexpr Column<RecordRow> kRecordKeyColumns[] = {
+    {"", [](Rec r) { return r.d.density; }},
+    {"run", [](Rec r) { return r.r.run_index; }},
+    {"nodes", [](Rec r) { return r.r.nodes; }},
+    {"protocol", [](Rec r) { return r.protocol; }},
+};
+
+constexpr Column<RecordRow> kRecordColumns[] = {
+    {"set_size", [](Rec r) { return r.rp.set_size; }},
+    {"delivered", [](Rec r) { return r.rp.delivered; }},
+    {"value", [](Rec r) { return when_routed(r, r.rp.value); }},
+    {"overhead", [](Rec r) { return when_routed(r, r.rp.overhead); }},
+    {"path_hops", [](Rec r) { return when_routed(r, r.rp.hops); }, "hops"},
+};
+
+constexpr Column<RecordRow> kRecordControlPlaneColumns[] = {
+    {"convergence_time", [](Rec r) { return r.rp.convergence_time; }},
+    {"converged", [](Rec r) { return r.rp.converged; }},
+    {"control_bytes", [](Rec r) { return r.rp.control_bytes; }},
+    {"probes_delivered", [](Rec r) { return r.rp.probes_delivered; }},
+    {"probes_failed", [](Rec r) { return r.rp.probes_failed; }},
+};
+
+constexpr Column<RecordRow> kRecordTrafficColumns[] = {
+    {"traffic_offered", [](Rec r) { return r.rp.traffic_offered; }},
+    {"traffic_delivered", [](Rec r) { return r.rp.traffic_delivered; }},
+    {"traffic_latency_p95", [](Rec r) { return r.rp.traffic_latency_p95; }},
+};
+
+constexpr Column<RecordRow> kRecordAdversaryColumns[] = {
+    {"invariant_violations", [](Rec r) { return r.rp.invariant_violations; }},
+    {"poisoned_routes", [](Rec r) { return r.rp.poisoned_routes; }},
+};
+
+/// The per-run record columns. The first block is the record's identity,
+/// which the JSON document nests as the enclosing object instead.
+constexpr ColumnBlock<RecordRow> kRecordBlocks[] = {
+    {kCore, kRecordKeyColumns},
+    {kCore, kRecordColumns},
+    {kControlPlane, kRecordControlPlaneColumns},
+    {kTraffic, kRecordTrafficColumns},
+    {kAdversary, kRecordAdversaryColumns},
+};
+
+template <typename Row>
+std::vector<const Column<Row>*> active_columns(
+    std::span<const ColumnBlock<Row>> blocks, Blocks active) {
+  std::vector<const Column<Row>*> columns;
+  for (const ColumnBlock<Row>& block : blocks)
+    if (active & block.block)
+      for (const Column<Row>& column : block.columns)
+        columns.push_back(&column);
+  return columns;
+}
+
+/// Writes one CSV table — the header, then one line per row — from the
+/// active column lists.
+template <typename Row>
+void write_csv_table(std::ostream& os, std::span<const ColumnBlock<Row>> blocks,
+                     Blocks active, std::string_view axis,
+                     const std::vector<Row>& rows) {
+  const std::vector<const Column<Row>*> columns =
+      active_columns(blocks, active);
+  std::string header;
+  for (const Column<Row>* column : columns) {
+    if (!header.empty()) header += ',';
+    header += column->header.empty() ? axis : column->header;
+  }
+  os << header << '\n';
+  for (const Row& row : rows) {
+    for (std::size_t i = 0; i < columns.size(); ++i) {
+      if (i) os << ',';
+      write_csv_value(os, columns[i]->cell(row));
+    }
+    os << '\n';
+  }
+}
+
+// ------------------------------------------------------ pretty sections --
+
+using P = const ProtocolStats&;
+
+std::string fixed(double v, int decimals) {
+  return util::format_double(v, decimals);
+}
+std::string count(std::uint64_t n) {
+  return util::format_double(static_cast<double>(n), 0);
+}
+
+constexpr TableColumn kDeliveryRatioCell{
+    "_delivery", [](P p) { return fixed(p.delivery_ratio(), 3); }};
+
+constexpr TableColumn kSetSizeSection[] = {
+    {"", [](P p) { return fixed(p.set_size.mean(), 3); }}};
+constexpr TableColumn kDynamicsSection[] = {
+    kDeliveryRatioCell,
+    {"_stretch", [](P p) { return fixed(p.stretch.mean(), 3); }},
+    {"_readv", [](P p) { return fixed(p.readvertised.mean(), 1); }},
+};
+constexpr TableColumn kOverheadSection[] = {
+    {"", [](P p) { return fixed(p.overhead.mean(), 4); }}};
+constexpr TableColumn kDiagnosticsSection[] = {
+    {"avg_nodes", nullptr,
+     [](const DensityStats& d) { return fixed(d.node_count.mean(), 1); }},
+    {"_delivered", [](P p) {
+       return count(p.delivered) + "/" + count(p.delivered + p.failed);
+     }},
+    {"_hops", [](P p) { return fixed(p.path_hops.mean(), 2); }},
+};
+constexpr TableColumn kDegradationSection[] = {
+    kDeliveryRatioCell,
+    {"_blackhole", [](P p) { return count(p.no_route_losses); }},
+    {"_reconv_s", [](P p) {
+       return fixed(p.control.reconvergence_time.mean(), 2);
+     }},
+};
+constexpr TableColumn kTrafficSection[] = {
+    {"_delivery", [](P p) { return fixed(p.traffic.delivery_ratio(), 3); }},
+    {"_qdrops", [](P p) { return count(p.traffic.queue_drops); }},
+    {"_p95_ms", [](P p) {
+       return fixed(summarize_distribution(p.traffic.latency).p95 * 1000.0, 2);
+     }},
+};
+constexpr TableColumn kAdversarySection[] = {
+    kDeliveryRatioCell,
+    {"_violations", [](P p) { return count(p.invariants.counters.total()); }},
+    {"_poisoned", [](P p) { return count(p.invariants.poisoned_routes); }},
+};
+constexpr TableColumn kControlPlaneSection[] = {
+    {"_tcs", [](P p) {
+       return fixed(p.control.tc_msgs.mean() + p.control.tc_forwards.mean(), 1);
+     }},
+    {"_bytes", [](P p) { return fixed(p.control.control_bytes.mean(), 0); }},
+    {"_conv_s", [](P p) {
+       return fixed(p.control.convergence_time.mean(), 2);
+     }},
+};
 
 }  // namespace
 
 void PrettyTableSink::write(const ExperimentResult& result,
                             std::ostream& os) const {
   const ExperimentSpec& spec = result.spec;
-  const bool dynamic = spec.scenario.dynamics.enabled();
-  const std::string axis = sweep_axis_name(spec.scenario.sweep_axis);
+  const Scenario& s = spec.scenario;
+  const Blocks active = active_blocks(spec);
+  const auto swept_or = [&](Scenario::SweepAxis axis, std::string value) {
+    return s.sweep_axis == axis ? std::string("<sweep axis>") : value;
+  };
   os << "# " << spec.name << " — metric=" << metric_name(spec.metric)
-     << " runs/density=" << spec.scenario.runs << " seed=" << spec.scenario.seed
-     << "\n";
-  if (spec.backend == BackendId::kPacket)
+     << " runs/density=" << s.runs << " seed=" << s.seed << "\n";
+  if (active & kControlPlane)
     os << "# backend=packet — discrete-event HELLO/TC simulation, measured "
           "from converged protocol state\n";
-  const bool faults = fault_mode(spec);
-  if (faults) {
+  if (active & kFaults)
     os << "# faults: loss="
-       << (spec.scenario.sweep_axis == Scenario::SweepAxis::kLoss
-               ? "<sweep axis>"
-               : fmt(spec.scenario.faults.loss_rate))
-       << " incidents=" << spec.scenario.faults.incidents.size()
-       << " probes/run=" << spec.scenario.probe_packets << "\n";
-  }
-  const bool traffic = traffic_mode(spec);
-  if (traffic) {
-    const TrafficSpec& t = spec.scenario.traffic;
-    os << "# traffic: arrival=" << traffic_arrival_name(t.arrival)
-       << " pattern=" << traffic_pattern_name(t.pattern)
-       << " flows=" << t.flows << " load="
-       << (spec.scenario.sweep_axis == Scenario::SweepAxis::kLoad
-               ? "<sweep axis>"
-               : fmt(t.load))
-       << "\n";
-  }
-  const bool adversary = adversary_mode(spec);
-  if (adversary) {
-    const AdversarySpec& adv = spec.scenario.adversaries;
+       << swept_or(Scenario::SweepAxis::kLoss, fmt(s.faults.loss_rate))
+       << " incidents=" << s.faults.incidents.size()
+       << " probes/run=" << s.probe_packets << "\n";
+  if (active & kTraffic)
+    os << "# traffic: arrival="
+       << util::name_of(kTrafficArrivals, s.traffic.arrival)
+       << " pattern=" << util::name_of(kTrafficPatterns, s.traffic.pattern)
+       << " flows=" << s.traffic.flows << " load="
+       << swept_or(Scenario::SweepAxis::kLoad, fmt(s.traffic.load)) << "\n";
+  if (active & kAdversary) {
     std::string kinds;
-    for (const AdversaryKind kind : adv.kinds) {
+    for (const AdversaryKind kind : s.adversaries.kinds) {
       if (!kinds.empty()) kinds += ",";
-      kinds += adversary_kind_name(kind);
+      kinds += util::name_of(kAdversaryKinds, kind);
     }
     os << "# adversaries: roster="
-       << (spec.scenario.sweep_axis == Scenario::SweepAxis::kAdversary
-               ? "<sweep axis>"
-               : std::to_string(adv.count))
+       << swept_or(Scenario::SweepAxis::kAdversary,
+                   std::to_string(s.adversaries.count))
        << " kinds=" << (kinds.empty() ? "none" : kinds)
-       << " corrupt=" << fmt(adv.corrupt_rate) << "\n";
+       << " corrupt=" << fmt(s.adversaries.corrupt_rate) << "\n";
   }
-  if (dynamic) {
-    const DynamicsSpec& dyn = spec.scenario.dynamics;
-    os << "# mobility="
-       << (dyn.model == DynamicsSpec::Model::kWaypoint ? "waypoint" : "churn")
-       << " epochs/run=" << dyn.epochs << " refresh=" << dyn.refresh_interval
-       << "\n";
-  }
-  os << "\n## advertised set size (mean |ANS| per node)\n"
-     << set_size_table(result.sweep, axis).to_string();
-  if (dynamic)
-    os << "\n## delivery ratio / hop stretch / TC re-advertisements\n"
-       << dynamics_table(result.sweep, axis).to_string();
-  os << "\n## QoS overhead vs. centralized optimum\n"
-     << overhead_table(result.sweep, axis).to_string();
-  os << "\n## diagnostics\n"
-     << diagnostics_table(result.sweep, axis).to_string();
-  if (faults)
-    os << "\n## graceful degradation (delivery ratio, blackhole drops, mean "
-          "re-convergence seconds after injected faults)\n"
-       << degradation_table(result.sweep, axis).to_string();
-  if (traffic)
-    os << "\n## traffic under load (flow delivery ratio, queue-tail drops, "
-          "p95 end-to-end latency in ms)\n"
-       << traffic_table(result.sweep, axis).to_string();
-  if (adversary)
-    os << "\n## adversary engine (delivery ratio, invariant violations "
-          "caught by the runtime monitor, poisoned routes)\n"
-       << invariants_table(result.sweep, axis).to_string();
-  bool has_control = false;
+  if (active & kDynamics)
+    os << "# mobility=" << util::name_of(kMobilityModels, s.dynamics.model)
+       << " epochs/run=" << s.dynamics.epochs
+       << " refresh=" << s.dynamics.refresh_interval << "\n";
+  const auto section = [&](std::string_view title,
+                           std::span<const TableColumn> columns) {
+    os << "\n## " << title << "\n"
+       << protocol_table(result.sweep, s.sweep_axis, columns).to_string();
+  };
+  section("advertised set size (mean |ANS| per node)", kSetSizeSection);
+  if (active & kDynamics)
+    section("delivery ratio / hop stretch / TC re-advertisements",
+            kDynamicsSection);
+  section("QoS overhead vs. centralized optimum", kOverheadSection);
+  section("diagnostics", kDiagnosticsSection);
+  if (active & kFaults)
+    section("graceful degradation (delivery ratio, blackhole drops, mean "
+            "re-convergence seconds after injected faults)",
+            kDegradationSection);
+  if (active & kTraffic)
+    section("traffic under load (flow delivery ratio, queue-tail drops, p95 "
+            "end-to-end latency in ms)",
+            kTrafficSection);
+  if (active & kAdversary)
+    section("adversary engine (delivery ratio, invariant violations caught "
+            "by the runtime monitor, poisoned routes)",
+            kAdversarySection);
+
+  // The control-plane section follows what was measured rather than a
+  // block: the wire backend reports convergence without the CSV columns.
+  std::size_t measured = 0, unconverged = 0, reconv_unconverged = 0;
   for (const DensityStats& d : result.sweep)
-    for (const ProtocolStats& p : d.protocols)
-      has_control = has_control || p.control.measured();
-  if (has_control) {
-    os << "\n## control plane (mean per run: TC messages incl. forwards, "
-          "broadcast bytes, measured convergence seconds)\n"
-       << control_plane_table(result.sweep, axis).to_string();
-    std::size_t unconverged = 0;
-    for (const DensityStats& d : result.sweep)
-      for (const ProtocolStats& p : d.protocols)
-        unconverged += p.control.unconverged;
+    for (const ProtocolStats& p : d.protocols) {
+      measured += p.control.measured() ? 1 : 0;
+      unconverged += p.control.unconverged;
+      reconv_unconverged += p.control.reconv_unconverged;
+    }
+  if (measured > 0) {
+    section("control plane (mean per run: TC messages incl. forwards, "
+            "broadcast bytes, measured convergence seconds)",
+            kControlPlaneSection);
     if (unconverged > 0)
       os << "\nWARNING: " << unconverged
          << " simulation run(s) hit the hard time cap before the control "
             "plane quiesced; their measurements are from unconverged state "
             "(see the unconverged_runs column in csv/json).\n";
-    std::size_t reconv_unconverged = 0;
-    for (const DensityStats& d : result.sweep)
-      for (const ProtocolStats& p : d.protocols)
-        reconv_unconverged += p.control.reconv_unconverged;
     if (reconv_unconverged > 0)
       os << "\nWARNING: " << reconv_unconverged
          << " post-fault re-convergence window(s) hit the hard time cap "
@@ -442,31 +617,35 @@ void PrettyTableSink::write(const ExperimentResult& result,
 }
 
 void CsvSink::write(const ExperimentResult& result, std::ostream& os) const {
-  if (result.spec.scenario.dynamics.enabled())
-    return write_dynamic_csv(result, os);
-  // The packet backend carries the extra control-plane columns; the oracle
-  // layout is pinned byte-exact by the golden-figure tests and must not
-  // move.
-  if (result.spec.backend == BackendId::kPacket)
-    return write_packet_csv(result, os);
-  os << static_csv_header(result.spec) << '\n';
+  const ExperimentSpec& spec = result.spec;
+  const Blocks active = active_blocks(spec);
+  const std::string_view axis = sweep_axis_name(spec.scenario.sweep_axis);
+  std::vector<AggregateRow> rows;
+  std::vector<RecordRow> records;
   for (const DensityStats& d : result.sweep) {
-    for (const ProtocolStats& p : d.protocols) {
-      write_static_csv_row_prefix(result, d, p, os);
-      os << '\n';
-    }
+    for (const ProtocolStats& p : d.protocols)
+      rows.push_back(aggregate_row(spec, d, p, active));
+    for (const RunRecord& r : d.run_records)
+      for (std::size_t si = 0; si < r.protocols.size(); ++si)
+        records.push_back({d, r, d.protocols[si].name, r.protocols[si]});
   }
-  write_run_records_csv(result, os);
+  write_csv_table<AggregateRow>(os, kAggregateBlocks, active, axis, rows);
+  // The per-run records follow as a second table after a blank line.
+  if (records.empty()) return;
+  os << '\n';
+  write_csv_table<RecordRow>(os, kRecordBlocks, active, axis, records);
 }
 
 void JsonSink::write(const ExperimentResult& result, std::ostream& os) const {
   const ExperimentSpec& spec = result.spec;
+  const Blocks active = active_blocks(spec);
   os << "{\n";
   os << "  \"name\": \"" << json_escape(spec.name) << "\",\n";
   // Only the non-default backend is echoed: pre-existing oracle documents
   // stay byte-identical.
   if (spec.backend != BackendId::kOracle)
-    os << "  \"backend\": \"" << backend_name(spec.backend) << "\",\n";
+    os << "  \"backend\": \"" << util::name_of(kBackends, spec.backend)
+       << "\",\n";
   os << "  \"metric\": \"" << metric_name(spec.metric) << "\",\n";
   os << "  \"metric_kind\": \""
      << (metric_kind(spec.metric) == MetricKind::kConcave ? "concave"
@@ -479,26 +658,33 @@ void JsonSink::write(const ExperimentResult& result, std::ostream& os) const {
   os << "  \"runs\": " << spec.scenario.runs << ",\n";
   os << "  \"seed\": " << spec.scenario.seed << ",\n";
   os << "  \"threads\": " << spec.threads << ",\n";
-  const bool dynamic = spec.scenario.dynamics.enabled();
-  const bool faults = fault_mode(spec);
-  const bool traffic = traffic_mode(spec);
-  const bool adversary = adversary_mode(spec);
-  if (traffic) {
-    const TrafficSpec& t = spec.scenario.traffic;
-    if (!faults)
+
+  // Each active engine block echoes its spec. The sweep-axis label is
+  // written once, in front of the fault echo if there is one, else in
+  // front of the first echo (the layout the golden documents pin).
+  bool axis_pending = true;
+  const auto echo = [&](Blocks block) {
+    if (!(active & block)) return false;
+    if (axis_pending && (block == kFaults || !(active & kFaults))) {
       os << "  \"axis\": \"" << sweep_axis_name(spec.scenario.sweep_axis)
          << "\",\n";
-    os << "  \"traffic\": {\"arrival\": \"" << traffic_arrival_name(t.arrival)
-       << "\", \"pattern\": \"" << traffic_pattern_name(t.pattern)
-       << "\", \"flows\": " << t.flows
-       << ", \"load\": " << fmt(t.load)
+      axis_pending = false;
+    }
+    return true;
+  };
+  if (echo(kTraffic)) {
+    const TrafficSpec& t = spec.scenario.traffic;
+    os << "  \"traffic\": {\"arrival\": \""
+       << util::name_of(kTrafficArrivals, t.arrival) << "\", \"pattern\": \""
+       << util::name_of(kTrafficPatterns, t.pattern)
+       << "\", \"flows\": " << t.flows << ", \"load\": " << fmt(t.load)
        << ", \"packet_rate\": " << fmt(t.packet_rate)
        << ", \"duration\": " << fmt(t.duration)
        << ", \"packet_bytes\": " << t.packet_bytes
        << ", \"link_capacity\": " << fmt(t.link_capacity)
        << ", \"queue_bytes\": " << t.queue_bytes << "},\n";
   }
-  if (faults) {
+  if (echo(kFaults)) {
     const FaultPlan& plan = spec.scenario.faults;
     std::size_t crashes = 0, flaps = 0, partitions = 0;
     for (const FaultIncident& incident : plan.incidents) {
@@ -508,8 +694,6 @@ void JsonSink::write(const ExperimentResult& result, std::ostream& os) const {
         case FaultIncident::Kind::kPartition: ++partitions; break;
       }
     }
-    os << "  \"axis\": \"" << sweep_axis_name(spec.scenario.sweep_axis)
-       << "\",\n";
     os << "  \"faults\": {\"loss_rate\": " << fmt(plan.loss_rate)
        << ", \"link_loss_overrides\": " << plan.link_loss.size()
        << ", \"crash_incidents\": " << crashes
@@ -517,24 +701,19 @@ void JsonSink::write(const ExperimentResult& result, std::ostream& os) const {
        << ", \"partition_incidents\": " << partitions
        << ", \"probe_packets\": " << spec.scenario.probe_packets << "},\n";
   }
-  if (adversary) {
+  if (echo(kAdversary)) {
     const AdversarySpec& adv = spec.scenario.adversaries;
-    if (!faults && !traffic)
-      os << "  \"axis\": \"" << sweep_axis_name(spec.scenario.sweep_axis)
-         << "\",\n";
     os << "  \"adversaries\": {\"count\": " << adv.count
        << ", \"fraction\": " << fmt(adv.fraction) << ", \"kinds\": [";
     for (std::size_t i = 0; i < adv.kinds.size(); ++i)
-      os << (i ? ", " : "") << '"' << adversary_kind_name(adv.kinds[i])
-         << '"';
+      os << (i ? ", " : "") << '"'
+         << util::name_of(kAdversaryKinds, adv.kinds[i]) << '"';
     os << "], \"corrupt_rate\": " << fmt(adv.corrupt_rate) << "},\n";
   }
-  if (dynamic) {
+  if (echo(kDynamics)) {
     const DynamicsSpec& dyn = spec.scenario.dynamics;
-    os << "  \"axis\": \"" << sweep_axis_name(spec.scenario.sweep_axis)
-       << "\",\n";
     os << "  \"dynamics\": {\"model\": \""
-       << (dyn.model == DynamicsSpec::Model::kWaypoint ? "waypoint" : "churn")
+       << util::name_of(kMobilityModels, dyn.model)
        << "\", \"epochs\": " << dyn.epochs
        << ", \"epoch_duration\": " << fmt(dyn.epoch_duration)
        << ", \"refresh_interval\": " << dyn.refresh_interval
@@ -544,6 +723,11 @@ void JsonSink::write(const ExperimentResult& result, std::ostream& os) const {
        << ", \"link_down_rate\": " << fmt(dyn.link_down_rate)
        << ", \"link_up_rate\": " << fmt(dyn.link_up_rate) << "},\n";
   }
+
+  // JSON nests the per-run fields under their record, so the record's
+  // identity block is written here instead of per field.
+  const std::vector<const Column<RecordRow>*> record_fields = active_columns(
+      std::span(kRecordBlocks).subspan(1), active);
   os << "  \"densities\": [";
   for (std::size_t di = 0; di < result.sweep.size(); ++di) {
     const DensityStats& d = result.sweep[di];
@@ -560,13 +744,13 @@ void JsonSink::write(const ExperimentResult& result, std::ostream& os) const {
          << ",\n         \"set_size\": " << json_stats(p.set_size)
          << ",\n         \"overhead\": " << json_stats(p.overhead)
          << ",\n         \"path_hops\": " << json_stats(p.path_hops);
-      if (dynamic) {
+      if (active & kDynamics) {
         os << ",\n         \"delivery_ratio\": " << json_num(p.delivery_ratio())
            << ", \"stale_losses\": " << p.stale_losses
            << ",\n         \"stretch\": " << json_stats(p.stretch)
            << ",\n         \"readvertised\": " << json_stats(p.readvertised);
       }
-      if (faults) {
+      if (active & kFaults) {
         os << ",\n         \"delivery_ratio\": " << json_num(p.delivery_ratio())
            << ", \"no_route_drops\": " << p.no_route_losses
            << ", \"loop_drops\": " << p.loop_losses
@@ -574,7 +758,7 @@ void JsonSink::write(const ExperimentResult& result, std::ostream& os) const {
            << ",\n         \"probe_delivery\": "
            << json_distribution(p.probe_delivery);
       }
-      if (traffic && p.traffic.measured()) {
+      if ((active & kTraffic) && p.traffic.measured()) {
         os << ",\n         \"traffic\": {"
            << "\n           \"offered\": " << p.traffic.offered
            << ", \"delivered\": " << p.traffic.delivered
@@ -590,7 +774,7 @@ void JsonSink::write(const ExperimentResult& result, std::ostream& os) const {
            << ",\n           \"flow_throughput\": "
            << json_distribution(p.traffic.flow_throughput) << "}";
       }
-      if (adversary) {
+      if (active & kAdversary) {
         const InvariantCounters& c = p.invariants.counters;
         os << ",\n         \"invariants\": {"
            << "\n           \"total\": " << c.total()
@@ -624,7 +808,7 @@ void JsonSink::write(const ExperimentResult& result, std::ostream& os) const {
            << ",\n           \"convergence_time\": "
            << json_stats(p.control.convergence_time)
            << ",\n           \"unconverged_runs\": " << p.control.unconverged;
-        if (faults) {
+        if (active & kFaults) {
           os << ",\n           \"frames_lost\": "
              << json_stats(p.control.frames_lost)
              << ",\n           \"frames_blocked\": "
@@ -646,27 +830,18 @@ void JsonSink::write(const ExperimentResult& result, std::ostream& os) const {
         os << (ri ? "," : "") << "\n        {\"run\": " << r.run_index
            << ", \"nodes\": " << r.nodes << ", \"protocols\": [";
         for (std::size_t si = 0; si < r.protocols.size(); ++si) {
-          const RunRecord::Protocol& rp = r.protocols[si];
-          os << (si ? ", " : "") << "{\"set_size\": " << fmt(rp.set_size)
-             << ", \"delivered\": " << (rp.delivered ? "true" : "false");
-          if (rp.delivered || rp.probes_delivered > 0)
-            os << ", \"value\": " << json_num(rp.value)
-               << ", \"overhead\": " << json_num(rp.overhead)
-               << ", \"hops\": " << rp.hops;
-          if (spec.backend == BackendId::kPacket)
-            os << ", \"convergence_time\": " << json_num(rp.convergence_time)
-               << ", \"converged\": " << (rp.converged ? "true" : "false")
-               << ", \"control_bytes\": " << fmt(rp.control_bytes)
-               << ", \"probes_delivered\": " << rp.probes_delivered
-               << ", \"probes_failed\": " << rp.probes_failed;
-          if (traffic)
-            os << ", \"traffic_offered\": " << rp.traffic_offered
-               << ", \"traffic_delivered\": " << rp.traffic_delivered
-               << ", \"traffic_latency_p95\": "
-               << json_num(rp.traffic_latency_p95);
-          if (adversary)
-            os << ", \"invariant_violations\": " << rp.invariant_violations
-               << ", \"poisoned_routes\": " << rp.poisoned_routes;
+          const RecordRow row{d, r, d.protocols[si].name, r.protocols[si]};
+          os << (si ? ", " : "") << "{";
+          const char* separator = "";
+          for (const Column<RecordRow>* field : record_fields) {
+            const Value value = field->cell(row);
+            if (std::holds_alternative<std::monostate>(value)) continue;
+            os << separator << '"'
+               << (field->json_key.empty() ? field->header : field->json_key)
+               << "\": ";
+            write_json_value(os, value);
+            separator = ", ";
+          }
           os << "}";
         }
         os << "]}";

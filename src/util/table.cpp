@@ -22,15 +22,6 @@ void Table::add_row(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
-void Table::add_row(double key, const std::vector<double>& values,
-                    int precision) {
-  std::vector<std::string> cells;
-  cells.reserve(values.size() + 1);
-  cells.push_back(format_double(key, 0));
-  for (double v : values) cells.push_back(format_double(v, precision));
-  add_row(std::move(cells));
-}
-
 std::string Table::to_string() const {
   std::vector<std::size_t> widths(header_.size());
   for (std::size_t c = 0; c < header_.size(); ++c)

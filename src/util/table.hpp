@@ -22,10 +22,6 @@ class Table {
   /// Appends a row; must have exactly as many cells as the header.
   void add_row(std::vector<std::string> cells);
 
-  /// Convenience: formats doubles with the given precision.
-  void add_row(double key, const std::vector<double>& values,
-               int precision = 4);
-
   std::string to_string() const;
   void print(std::ostream& os) const;
 

@@ -306,11 +306,11 @@ TEST(ParseExperimentSpec, BackendFlagSelectsTheEngine) {
   EXPECT_EQ(parse_experiment_spec({"--backend=packet", "--backend=oracle"})
                 .backend,
             BackendId::kOracle);
-  EXPECT_EQ(backend_name(BackendId::kOracle), "oracle");
-  EXPECT_EQ(backend_name(BackendId::kPacket), "packet");
-  EXPECT_EQ(backend_name(BackendId::kWire), "wire");
+  EXPECT_STREQ(util::name_of(kBackends, BackendId::kOracle), "oracle");
+  EXPECT_STREQ(util::name_of(kBackends, BackendId::kPacket), "packet");
+  EXPECT_STREQ(util::name_of(kBackends, BackendId::kWire), "wire");
   // One table drives names, parsing and the error text alike.
-  EXPECT_EQ(backend_names(), "oracle|packet|wire");
+  EXPECT_EQ(util::names_of(kBackends), "oracle|packet|wire");
 }
 
 TEST(ParseExperimentSpec, UnknownBackendErrorNamesTheValidSet) {
@@ -340,6 +340,53 @@ TEST(ParseExperimentSpec, RejectsUnknownFlagsAndBadValues) {
   EXPECT_THROW(parse_experiment_spec({"--per-run=false"}), ExperimentError);
   EXPECT_THROW(parse_experiment_spec({"--continuous-qos=1"}), ExperimentError);
   EXPECT_THROW(parse_experiment_spec({"--hop-by-hop=0"}), ExperimentError);
+  // from_chars parses nan and inf, which would slip past every range check
+  // downstream: a nan radius or an infinite load never terminates.
+  EXPECT_THROW(parse_experiment_spec({"--radius=nan"}), ExperimentError);
+  EXPECT_THROW(parse_experiment_spec({"--load=inf"}), ExperimentError);
+  EXPECT_THROW(parse_experiment_spec({"--traffic-duration=inf"}),
+               ExperimentError);
+  EXPECT_THROW(parse_experiment_spec({"--epoch-duration=nan"}),
+               ExperimentError);
+  EXPECT_THROW(parse_experiment_spec({"--densities=6,-inf"}), ExperimentError);
+}
+
+TEST(ParseExperimentSpec, EnumFlagErrorsListTheirNameTable) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"--routing=flood", "flag --routing: expected union|chain, got 'flood'"},
+      {"--pairs=nearest", "flag --pairs: expected two_hop|any, got 'nearest'"},
+      {"--mobility=brownian",
+       "flag --mobility: expected none|waypoint|churn, got 'brownian'"},
+      {"--traffic=burst",
+       "flag --traffic: expected none|poisson|cbr|pareto, got 'burst'"},
+      {"--pattern=ring",
+       "flag --pattern: expected uniform|hotspot|gateway, got 'ring'"},
+      {"--axis=time",
+       "flag --axis: expected density|speed|loss|load|adversary, got 'time'"},
+      {"--adversaries=1@sybil",
+       "flag --adversaries: unknown kind 'sybil' (known: "
+       "blackhole|liar|replayer|selfish)"},
+      {"--radius=inf", "flag --radius: 'inf' is not a finite number"},
+  };
+  for (const auto& [flag, message] : cases) {
+    try {
+      parse_experiment_spec({flag});
+      ADD_FAILURE() << flag << " accepted";
+    } catch (const ExperimentError& e) {
+      EXPECT_STREQ(e.what(), message);
+    }
+  }
+  const ExperimentSpec spec = parse_experiment_spec(
+      {"--routing=chain", "--pairs=any", "--mobility=churn", "--traffic=pareto",
+       "--pattern=gateway", "--adversaries=2@liar,selfish"});
+  EXPECT_EQ(spec.scenario.routing_model, Scenario::RoutingModel::kAnsChain);
+  EXPECT_EQ(spec.scenario.pair_mode, Scenario::PairMode::kAnyConnected);
+  EXPECT_EQ(spec.scenario.dynamics.model, DynamicsSpec::Model::kChurn);
+  EXPECT_EQ(spec.scenario.traffic.arrival, TrafficSpec::Arrival::kPareto);
+  EXPECT_EQ(spec.scenario.traffic.pattern, TrafficSpec::Pattern::kGateway);
+  EXPECT_EQ(spec.scenario.adversaries.kinds,
+            (std::vector<AdversaryKind>{AdversaryKind::kLiar,
+                                        AdversaryKind::kSelfish}));
 }
 
 TEST(ParseExperimentSpec, CliCombinationBeyondTheOldHarness) {

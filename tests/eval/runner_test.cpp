@@ -93,15 +93,23 @@ TEST(RunSweep, DeterministicForFixedSeed) {
 TEST(Figures, TablesHaveExpectedShape) {
   FigureConfig config;
   config.runs = 2;  // smoke test of the full harness path
-  const auto sweep = bandwidth_sweep(config);
+  const auto sweep = run_experiment(figure_spec(6, config)).sweep;
   ASSERT_EQ(sweep.size(), bandwidth_densities().size());
-  const auto sizes = set_size_table(sweep);
-  EXPECT_EQ(sizes.rows(), sweep.size());
-  const auto overheads = overhead_table(sweep);
-  EXPECT_EQ(overheads.rows(), sweep.size());
-  const auto diag = diagnostics_table(sweep);
-  EXPECT_EQ(diag.rows(), sweep.size());
-  EXPECT_FALSE(sizes.to_csv().empty());
+  const TableColumn columns[] = {
+      {"nodes", nullptr,
+       [](const DensityStats& d) {
+         return util::format_double(d.node_count.mean(), 1);
+       }},
+      {"_size", [](const ProtocolStats& p) {
+         return util::format_double(p.set_size.mean(), 3);
+       }}};
+  const auto table =
+      protocol_table(sweep, Scenario::SweepAxis::kDensity, columns);
+  EXPECT_EQ(table.rows(), sweep.size());
+  const std::string csv = table.to_csv();
+  EXPECT_EQ(csv.substr(0, csv.find('\n')),
+            "density,nodes,qolsr_mpr2_bandwidth_size,"
+            "topology_filtering_bandwidth_size,fnbp_bandwidth_size");
 }
 
 }  // namespace

@@ -19,7 +19,8 @@ TEST(Table, RendersAlignedColumns) {
 
 TEST(Table, NumericRowFormatting) {
   Table t({"d", "a", "b"});
-  t.add_row(15.0, {0.12345, 2.0}, 3);
+  t.add_row({format_double(15.0, 0), format_double(0.12345, 3),
+             format_double(2.0, 3)});
   const std::string s = t.to_string();
   EXPECT_NE(s.find("15"), std::string::npos);
   EXPECT_NE(s.find("0.123"), std::string::npos);
