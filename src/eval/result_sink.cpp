@@ -424,15 +424,13 @@ constexpr ColumnBlock<RecordRow> kRecordBlocks[] = {
     {kAdversary, kRecordAdversaryColumns},
 };
 
-template <typename Row>
-std::vector<const Column<Row>*> active_columns(
-    std::span<const ColumnBlock<Row>> blocks, Blocks active) {
-  std::vector<const Column<Row>*> columns;
+/// Calls `f` on every column of the active blocks, in emission order.
+template <typename Row, typename F>
+void for_each_column(std::span<const ColumnBlock<Row>> blocks, Blocks active,
+                     F&& f) {
   for (const ColumnBlock<Row>& block : blocks)
     if (active & block.block)
-      for (const Column<Row>& column : block.columns)
-        columns.push_back(&column);
-  return columns;
+      for (const Column<Row>& column : block.columns) f(column);
 }
 
 /// Writes one CSV table — the header, then one line per row — from the
@@ -441,19 +439,19 @@ template <typename Row>
 void write_csv_table(std::ostream& os, std::span<const ColumnBlock<Row>> blocks,
                      Blocks active, std::string_view axis,
                      const std::vector<Row>& rows) {
-  const std::vector<const Column<Row>*> columns =
-      active_columns(blocks, active);
-  std::string header;
-  for (const Column<Row>* column : columns) {
-    if (!header.empty()) header += ',';
-    header += column->header.empty() ? axis : column->header;
-  }
-  os << header << '\n';
+  std::string line;
+  for_each_column(blocks, active, [&](const Column<Row>& column) {
+    if (!line.empty()) line += ',';
+    line += column.header.empty() ? axis : column.header;
+  });
+  os << line << '\n';
   for (const Row& row : rows) {
-    for (std::size_t i = 0; i < columns.size(); ++i) {
-      if (i) os << ',';
-      write_csv_value(os, columns[i]->cell(row));
-    }
+    const char* separator = "";
+    for_each_column(blocks, active, [&](const Column<Row>& column) {
+      os << separator;
+      write_csv_value(os, column.cell(row));
+      separator = ",";
+    });
     os << '\n';
   }
 }
@@ -622,6 +620,7 @@ void CsvSink::write(const ExperimentResult& result, std::ostream& os) const {
   const std::string_view axis = sweep_axis_name(spec.scenario.sweep_axis);
   std::vector<AggregateRow> rows;
   std::vector<RecordRow> records;
+  rows.reserve(result.sweep.size() * spec.selectors.size());
   for (const DensityStats& d : result.sweep) {
     for (const ProtocolStats& p : d.protocols)
       rows.push_back(aggregate_row(spec, d, p, active));
@@ -726,8 +725,7 @@ void JsonSink::write(const ExperimentResult& result, std::ostream& os) const {
 
   // JSON nests the per-run fields under their record, so the record's
   // identity block is written here instead of per field.
-  const std::vector<const Column<RecordRow>*> record_fields = active_columns(
-      std::span(kRecordBlocks).subspan(1), active);
+  const auto record_fields = std::span(kRecordBlocks).subspan(1);
   os << "  \"densities\": [";
   for (std::size_t di = 0; di < result.sweep.size(); ++di) {
     const DensityStats& d = result.sweep[di];
@@ -833,15 +831,15 @@ void JsonSink::write(const ExperimentResult& result, std::ostream& os) const {
           const RecordRow row{d, r, d.protocols[si].name, r.protocols[si]};
           os << (si ? ", " : "") << "{";
           const char* separator = "";
-          for (const Column<RecordRow>* field : record_fields) {
-            const Value value = field->cell(row);
-            if (std::holds_alternative<std::monostate>(value)) continue;
+          for_each_column(record_fields, active, [&](const auto& field) {
+            const Value value = field.cell(row);
+            if (std::holds_alternative<std::monostate>(value)) return;
             os << separator << '"'
-               << (field->json_key.empty() ? field->header : field->json_key)
+               << (field.json_key.empty() ? field.header : field.json_key)
                << "\": ";
             write_json_value(os, value);
             separator = ", ";
-          }
+          });
           os << "}";
         }
         os << "]}";
