@@ -48,6 +48,10 @@ class Graph {
   /// the failure-injection tests and the simulator's link-failure hook.
   bool remove_edge(NodeId u, NodeId v);
 
+  /// The outgoing half (u,v) — an element of `neighbors(u)` — or nullptr
+  /// when absent.
+  const Edge* find_edge(NodeId u, NodeId v) const;
+
   bool has_edge(NodeId u, NodeId v) const { return find_edge(u, v) != nullptr; }
 
   /// QoS of link (u,v), or nullptr when absent.
@@ -70,7 +74,6 @@ class Graph {
   void set_position(NodeId u, Point p) { positions_[u] = p; }
 
  private:
-  const Edge* find_edge(NodeId u, NodeId v) const;
   Edge* find_edge(NodeId u, NodeId v);
 
   std::vector<std::vector<Edge>> adjacency_;

@@ -1,5 +1,7 @@
 #include "proto/duplicate_set.hpp"
 
+#include <algorithm>
+
 namespace qolsr {
 
 bool DuplicateSet::check_and_insert(NodeId originator, std::uint16_t sequence,
@@ -20,12 +22,14 @@ bool DuplicateSet::check_and_insert(NodeId originator, std::uint16_t sequence,
     if (slot.key == kEmptyKey) {
       slot.key = k;
       slot.expires = now + hold_time_;
+      earliest_ = std::min(earliest_, slot.expires);
       ++size_;
       return true;
     }
     if (slot.key == k) {
       if (slot.expires < now) {
-        // Expired entry: the sequence space wrapped; treat as new.
+        // Expired entry: the sequence space wrapped; treat as new. No
+        // earliest_ update: it is already at most the passed expiry.
         slot.expires = now + hold_time_;
         return true;
       }
@@ -36,7 +40,23 @@ bool DuplicateSet::check_and_insert(NodeId originator, std::uint16_t sequence,
 }
 
 void DuplicateSet::expire(double now) {
-  if (size_ == 0) return;
+  // Nothing is due: the sweep would keep every entry. With a 30 s hold and
+  // a sweep per TC interval, this is nearly every call.
+  if (size_ == 0 || !(earliest_ < now)) return;
+  // earliest_ is a lower bound only (a wrapped re-arm raises an expiry it
+  // does not track): a read-only pass makes it exact and confirms that an
+  // entry is really due before the compaction touches the spare.
+  double earliest = std::numeric_limits<double>::infinity();
+  bool due = false;
+  for (const Slot& slot : slots_) {
+    if (slot.key == kEmptyKey) continue;
+    if (slot.expires < now)
+      due = true;
+    else
+      earliest = std::min(earliest, slot.expires);
+  }
+  earliest_ = earliest;
+  if (!due) return;
   // Linear probing cannot erase in place without breaking probe chains;
   // compact the live entries into the same-capacity spare table and swap.
   // Steady state: zero allocations (the spare persists between sweeps).
@@ -59,6 +79,7 @@ void DuplicateSet::expire(double now) {
 void DuplicateSet::clear() {
   for (Slot& slot : slots_) slot = Slot{};
   size_ = 0;
+  earliest_ = std::numeric_limits<double>::infinity();
 }
 
 void DuplicateSet::rehash(std::size_t new_capacity) {

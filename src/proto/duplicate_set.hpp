@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "graph/node_id.hpp"
@@ -27,7 +28,8 @@ class DuplicateSet {
   bool check_and_insert(NodeId originator, std::uint16_t sequence,
                         double now);
 
-  /// Drops expired entries. Called opportunistically.
+  /// Drops expired entries. Called opportunistically; returns at once,
+  /// touching no slot, while no entry is past its hold time yet.
   void expire(double now);
 
   /// Forgets everything — the per-run reset of a reused protocol stack.
@@ -67,6 +69,9 @@ class DuplicateSet {
   std::vector<Slot> spare_;  ///< expire()'s compaction target (same size)
   std::size_t size_ = 0;
   unsigned shift_ = 0;  ///< log2(slots_.size())
+  /// Lower bound on every recorded slot's `expires` (exact after a sweep):
+  /// no entry can be due while `now` has not passed it.
+  double earliest_ = std::numeric_limits<double>::infinity();
 };
 
 }  // namespace qolsr

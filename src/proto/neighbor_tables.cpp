@@ -19,8 +19,9 @@ bool same_bits(const LinkQos& a, const LinkQos& b) {
 NeighborTables::Outcome NeighborTables::on_hello(const HelloMessage& hello,
                                                  const LinkQos& qos,
                                                  double now) {
-  const auto [it, inserted] = links_.try_emplace(hello.originator);
-  LinkEntry& entry = it->second;
+  const NodeId id = hello.originator;
+  const bool inserted = find(id) == nullptr;
+  LinkEntry& entry = links_[inserted ? insert(id) : slot_[id]];
   const bool was_sym = !inserted && entry.sym_until >= 0.0;
   const bool was_mpr = !inserted && entry.selected_us_mpr;
   const LinkQos old_qos = entry.qos;
@@ -71,30 +72,76 @@ NeighborTables::Outcome NeighborTables::on_hello(const HelloMessage& hello,
 
 NeighborTables::Outcome NeighborTables::expire(double now) {
   Outcome out;
-  for (auto it = links_.begin(); it != links_.end();) {
-    if (it->second.asym_until < now) {
-      if (it->second.sym_until >= 0.0) {
+  // Stable compaction: survivors keep their ascending order, and each
+  // dropped entry is swapped behind them as a spare.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < live_; ++i) {
+    LinkEntry& entry = links_[i];
+    if (entry.asym_until < now) {
+      if (entry.sym_until >= 0.0) {
         out.view_changed = true;
         ++view_epoch_;
       }
       out.digest_changed = true;  // the digest folds every held entry
-      it = links_.erase(it);
-    } else {
-      if (it->second.sym_until >= 0.0 && it->second.sym_until < now) {
-        it->second.sym_until = -1.0;
-        out.digest_changed = true;
-        out.view_changed = true;
-        ++view_epoch_;
-      }
-      ++it;
+      slot_[entry.id] = kNoSlot;
+      continue;
     }
+    if (entry.sym_until >= 0.0 && entry.sym_until < now) {
+      entry.sym_until = -1.0;
+      out.digest_changed = true;
+      out.view_changed = true;
+      ++view_epoch_;
+    }
+    if (kept != i) {
+      std::swap(links_[kept], entry);
+      slot_[links_[kept].id] = static_cast<std::uint32_t>(kept);
+    }
+    ++kept;
   }
+  live_ = kept;
   return out;
 }
 
+void NeighborTables::clear() {
+  for (std::size_t i = 0; i < live_; ++i) slot_[links_[i].id] = kNoSlot;
+  live_ = 0;
+  ++view_epoch_;
+}
+
+void NeighborTables::reset(double hold_time, std::size_t node_count) {
+  clear();
+  hold_time_ = hold_time;
+  if (slot_.size() < node_count) slot_.resize(node_count, kNoSlot);
+}
+
+std::size_t NeighborTables::insert(NodeId id) {
+  if (id >= slot_.size()) slot_.resize(std::size_t{id} + 1, kNoSlot);
+  if (live_ == links_.size()) links_.emplace_back();
+  // Rotate the first spare into the ascending position of `id`; the
+  // entries it passes move up by one and get their slots rewritten.
+  const auto live_end = links_.begin() + static_cast<std::ptrdiff_t>(live_);
+  const auto pos = std::partition_point(
+      links_.begin(), live_end,
+      [id](const LinkEntry& entry) { return entry.id < id; });
+  std::rotate(pos, live_end, live_end + 1);
+  ++live_;
+  const auto at = static_cast<std::size_t>(pos - links_.begin());
+  LinkEntry& entry = links_[at];
+  entry.id = id;
+  entry.qos = LinkQos{};
+  entry.sym_until = -1.0;
+  entry.asym_until = -1.0;
+  entry.selected_us_mpr = false;
+  entry.advertised.clear();
+  for (std::size_t i = at; i < live_; ++i)
+    slot_[links_[i].id] = static_cast<std::uint32_t>(i);
+  return at;
+}
+
 std::uint64_t NeighborTables::digest(std::uint64_t h) const {
-  for (const auto& [id, entry] : links_) {  // ordered map: stable fold order
-    h = util::digest_mix(h, id);
+  for (std::size_t i = 0; i < live_; ++i) {  // ascending id: stable fold
+    const LinkEntry& entry = links_[i];
+    h = util::digest_mix(h, entry.id);
     h = util::digest_mix(h, (entry.sym_until >= 0.0 ? 2u : 0u) |
                                 (entry.selected_us_mpr ? 1u : 0u));
   }
@@ -102,8 +149,9 @@ std::uint64_t NeighborTables::digest(std::uint64_t h) const {
 }
 
 std::uint64_t NeighborTables::converged_digest(std::uint64_t h) const {
-  for (const auto& [id, entry] : links_) {  // ordered map: stable fold order
-    h = util::digest_mix(h, id);
+  for (std::size_t i = 0; i < live_; ++i) {  // ascending id: stable fold
+    const LinkEntry& entry = links_[i];
+    h = util::digest_mix(h, entry.id);
     h = util::digest_mix(h, (entry.sym_until >= 0.0 ? 2u : 0u) |
                                 (entry.selected_us_mpr ? 1u : 0u));
     h = digest_qos(h, entry.qos);
@@ -119,52 +167,50 @@ std::uint64_t NeighborTables::converged_digest(std::uint64_t h) const {
 
 std::vector<NodeId> NeighborTables::symmetric_neighbors() const {
   std::vector<NodeId> result;
-  for (const auto& [id, entry] : links_)
-    if (entry.sym_until >= 0.0) result.push_back(id);
-  return result;  // std::map iteration is already ascending
+  for_each_symmetric([&result](NodeId id, const LinkQos&) {
+    result.push_back(id);
+  });
+  return result;
 }
 
 std::vector<NodeId> NeighborTables::heard_neighbors() const {
   std::vector<NodeId> result;
-  result.reserve(links_.size());
-  for (const auto& [id, entry] : links_) {
-    (void)entry;
-    result.push_back(id);
-  }
+  result.reserve(live_);
+  for (std::size_t i = 0; i < live_; ++i) result.push_back(links_[i].id);
   return result;
 }
 
 bool NeighborTables::selected_us_as_mpr(NodeId neighbor) const {
-  auto it = links_.find(neighbor);
-  return it != links_.end() && it->second.sym_until >= 0.0 &&
-         it->second.selected_us_mpr;
+  const LinkEntry* entry = find(neighbor);
+  return entry != nullptr && entry->sym_until >= 0.0 &&
+         entry->selected_us_mpr;
 }
 
 bool NeighborTables::is_symmetric(NodeId neighbor) const {
-  auto it = links_.find(neighbor);
-  return it != links_.end() && it->second.sym_until >= 0.0;
+  const LinkEntry* entry = find(neighbor);
+  return entry != nullptr && entry->sym_until >= 0.0;
 }
 
 const LinkQos* NeighborTables::link_qos(NodeId neighbor) const {
-  auto it = links_.find(neighbor);
-  if (it == links_.end()) return nullptr;
-  return &it->second.qos;
+  const LinkEntry* entry = find(neighbor);
+  return entry != nullptr ? &entry->qos : nullptr;
 }
 
 std::vector<NodeId> NeighborTables::mpr_selectors() const {
   std::vector<NodeId> result;
-  for (const auto& [id, entry] : links_)
-    if (entry.sym_until >= 0.0 && entry.selected_us_mpr)
-      result.push_back(id);
+  for (std::size_t i = 0; i < live_; ++i)
+    if (links_[i].sym_until >= 0.0 && links_[i].selected_us_mpr)
+      result.push_back(links_[i].id);
   return result;
 }
 
 LocalView NeighborTables::build_local_view() const {
   std::vector<LocalView::NeighborLink> one_hop;
   std::vector<std::vector<LocalView::NeighborLink>> neighbor_links;
-  for (const auto& [id, entry] : links_) {
+  for (std::size_t i = 0; i < live_; ++i) {
+    const LinkEntry& entry = links_[i];
     if (entry.sym_until < 0.0) continue;
-    one_hop.push_back({id, entry.qos});
+    one_hop.push_back({entry.id, entry.qos});
     std::vector<LocalView::NeighborLink> advertised;
     advertised.reserve(entry.advertised.size());
     for (const LinkAdvert& a : entry.advertised)

@@ -1,7 +1,7 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "graph/local_view.hpp"
@@ -16,6 +16,13 @@ namespace qolsr {
 ///
 /// Timers are simulated seconds; an entry not refreshed within `hold_time`
 /// vanishes, so a dead link heals out of the tables automatically.
+///
+/// Storage is flat (DESIGN.md §5 "Per-node protocol state"): the link
+/// entries sit in one contiguous vector in ascending neighbor id, and a
+/// NodeId-indexed slot array maps an id to its entry, so the per-frame
+/// lookups (is_symmetric, selected_us_as_mpr, link_qos, on_hello's refresh)
+/// are array reads. A neighbor appearing or expiring — rare next to the
+/// refreshes — shifts the entries behind it and fixes their slots.
 class NeighborTables {
  public:
   explicit NeighborTables(NodeId self, double hold_time = 6.0)
@@ -42,11 +49,16 @@ class NeighborTables {
   /// Drops expired links / neighbor tables / selector entries.
   Outcome expire(double now);
 
-  /// Forgets every neighbor — the per-run reset of a reused protocol stack.
-  void clear() {
-    links_.clear();
-    ++view_epoch_;
-  }
+  /// Forgets every neighbor — the crash of a reused protocol stack. Keeps
+  /// every allocation (the slot array, the entries and their advert
+  /// buffers) for the next neighbors to reuse.
+  void clear();
+
+  /// The per-run reset: clear(), rebind the hold time, and size the slot
+  /// array for ids 0..node_count-1. An id past it still works — the insert
+  /// grows the array — but a simulation's ids never are (OlsrNode drops any
+  /// frame naming an id outside the deployment before it gets here).
+  void reset(double hold_time, std::size_t node_count);
 
   /// Selection epoch: bumped by every mutation that changes what
   /// build_local_view reads — the symmetric neighbor set, a symmetric
@@ -82,8 +94,8 @@ class NeighborTables {
   /// used by the cached knowledge-graph rebuild.
   template <typename Fn>
   void for_each_symmetric(Fn&& fn) const {
-    for (const auto& [id, entry] : links_)
-      if (entry.sym_until >= 0.0) fn(id, entry.qos);
+    for (std::size_t i = 0; i < live_; ++i)
+      if (links_[i].sym_until >= 0.0) fn(links_[i].id, links_[i].qos);
   }
 
   /// Every neighbor with a live (possibly still asymmetric) link entry,
@@ -110,6 +122,7 @@ class NeighborTables {
 
  private:
   struct LinkEntry {
+    NodeId id = kInvalidNode;
     LinkQos qos;
     double sym_until = -1.0;   ///< symmetric while now < sym_until
     double asym_until = -1.0;  ///< heard-from while now < asym_until
@@ -117,10 +130,26 @@ class NeighborTables {
     std::vector<LinkAdvert> advertised;  ///< neighbor's own link table
   };
 
+  /// slot_ value of an id with no entry.
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+  const LinkEntry* find(NodeId id) const {
+    if (id >= slot_.size() || slot_[id] == kNoSlot) return nullptr;
+    return &links_[slot_[id]];
+  }
+  /// Makes a fresh entry for `id` in its ascending position and returns its
+  /// index. Reuses a spare entry (and its advert buffer) when there is one.
+  std::size_t insert(NodeId id);
+
   NodeId self_;
   double hold_time_;
-  std::map<NodeId, LinkEntry> links_;  // ordered => deterministic iteration
-  std::uint64_t view_epoch_ = 0;       ///< see view_epoch()
+  /// links_[0, live_) are the entries, ascending id — the deterministic
+  /// order every fold and list walks. links_[live_, size) are spares left
+  /// by expiry and clear(), kept for their advert buffers.
+  std::vector<LinkEntry> links_;
+  std::size_t live_ = 0;
+  std::vector<std::uint32_t> slot_;  ///< id -> index into links_, or kNoSlot
+  std::uint64_t view_epoch_ = 0;     ///< see view_epoch()
 };
 
 }  // namespace qolsr

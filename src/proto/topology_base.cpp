@@ -35,55 +35,64 @@ bool same_view(const std::vector<LinkAdvert>& a,
 TopologyBase::TcOutcome TopologyBase::apply_tc(const TcMessage& tc,
                                                double now) {
   TcOutcome out;
-  auto it = entries_.find(tc.originator);
-  if (it != entries_.end() && it->second.expires >= now &&
-      !newer(tc.ansn, it->second.ansn) && tc.ansn != it->second.ansn) {
+  const Entry* held = find(tc.originator);
+  if (held != nullptr && held->expires >= now && !newer(tc.ansn, held->ansn) &&
+      tc.ansn != held->ansn) {
     return out;  // stale — every flag false
   }
   out.fresh = true;
-  if (it == entries_.end()) {
+  if (tc.originator >= entries_.size())
+    entries_.resize(std::size_t{tc.originator} + 1);
+  Entry& entry = entries_[tc.originator];
+  if (held == nullptr) {
     // New originator: digest folds the originator id, so even an empty
     // advertisement is a visible change.
     out.links_changed = true;
     out.view_changed = !tc.advertised.empty();
-    Entry& entry = entries_[tc.originator];
-    entry.ansn = tc.ansn;
-    entry.expires = now + hold_time_;
-    entry.advertised = tc.advertised;
-    return out;
+    entry.present = true;
+    ++count_;
+  } else {
+    // The digest ignores expiry, so `links_changed` compares against the
+    // held advertisement regardless of validity; the routing view is
+    // validity-aware, so a held-but-expired entry contributed nothing and
+    // any non-empty refresh revives it.
+    out.links_changed = !same_links(entry.advertised, tc.advertised);
+    out.view_changed = entry.expires < now
+                           ? !tc.advertised.empty()
+                           : !same_view(entry.advertised, tc.advertised);
   }
-  Entry& entry = it->second;
-  // The digest ignores expiry, so `links_changed` compares against the
-  // held advertisement regardless of validity; the routing view is
-  // validity-aware, so a held-but-expired entry contributed nothing and
-  // any non-empty refresh revives it.
-  out.links_changed = !same_links(entry.advertised, tc.advertised);
-  out.view_changed = entry.expires < now
-                         ? !tc.advertised.empty()
-                         : !same_view(entry.advertised, tc.advertised);
   entry.ansn = tc.ansn;
   entry.expires = now + hold_time_;
-  entry.advertised = tc.advertised;
+  entry.advertised = tc.advertised;  // copy-assign: reuses the buffer
   return out;
 }
 
 bool TopologyBase::expire(double now) {
   bool removed = false;
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->second.expires < now) {
-      it = entries_.erase(it);
+  for (Entry& entry : entries_) {
+    if (entry.present && entry.expires < now) {
+      drop(entry);
       removed = true;
-    } else {
-      ++it;
     }
   }
   return removed;
 }
 
+void TopologyBase::clear() {
+  for (Entry& entry : entries_)
+    if (entry.present) drop(entry);
+}
+
+void TopologyBase::reset(double hold_time, std::size_t node_count) {
+  clear();
+  hold_time_ = hold_time;
+  if (entries_.size() < node_count) entries_.resize(node_count);
+}
+
 double TopologyBase::next_expiry() const {
   double next = std::numeric_limits<double>::infinity();
-  for (const auto& [originator, entry] : entries_)
-    next = std::min(next, entry.expires);
+  for (const Entry& entry : entries_)
+    if (entry.present) next = std::min(next, entry.expires);
   return next;
 }
 
@@ -101,9 +110,11 @@ double TopologyBase::to_graph_into(Graph& out, std::size_t node_count,
                                    double now) const {
   out.reset_nodes(node_count);
   double fresh_until = std::numeric_limits<double>::infinity();
-  for (const auto& [originator, entry] : entries_) {
-    if (originator >= node_count) continue;
-    if (entry.expires < now) continue;  // held but already invalid
+  const NodeId end =
+      static_cast<NodeId>(std::min(entries_.size(), node_count));
+  for (NodeId originator = 0; originator < end; ++originator) {
+    const Entry& entry = entries_[originator];
+    if (!entry.present || entry.expires < now) continue;  // absent / invalid
     fresh_until = std::min(fresh_until, entry.expires);
     for (const LinkAdvert& a : entry.advertised) {
       if (a.neighbor >= node_count) continue;
@@ -115,8 +126,10 @@ double TopologyBase::to_graph_into(Graph& out, std::size_t node_count,
 }
 
 std::uint64_t TopologyBase::digest(std::uint64_t h) const {
-  for (const auto& [originator, entry] : entries_) {  // ordered map: stable
-    h = util::digest_mix(h, originator);
+  for (std::size_t o = 0; o < entries_.size(); ++o) {  // ascending: stable
+    const Entry& entry = entries_[o];
+    if (!entry.present) continue;
+    h = util::digest_mix(h, o);
     for (const LinkAdvert& a : entry.advertised)
       h = util::digest_mix(h, a.neighbor);
   }
@@ -124,8 +137,10 @@ std::uint64_t TopologyBase::digest(std::uint64_t h) const {
 }
 
 std::uint64_t TopologyBase::converged_digest(std::uint64_t h) const {
-  for (const auto& [originator, entry] : entries_) {  // ordered map: stable
-    h = util::digest_mix(h, originator);
+  for (std::size_t o = 0; o < entries_.size(); ++o) {  // ascending: stable
+    const Entry& entry = entries_[o];
+    if (!entry.present) continue;
+    h = util::digest_mix(h, o);
     h = util::digest_mix(h, entry.advertised.size());
     for (const LinkAdvert& a : entry.advertised) {
       h = util::digest_mix(h, a.neighbor);
@@ -137,17 +152,16 @@ std::uint64_t TopologyBase::converged_digest(std::uint64_t h) const {
 }
 
 std::optional<std::uint16_t> TopologyBase::ansn_of(NodeId originator) const {
-  auto it = entries_.find(originator);
-  if (it == entries_.end()) return std::nullopt;
-  return it->second.ansn;
+  const Entry* entry = find(originator);
+  if (entry == nullptr) return std::nullopt;
+  return entry->ansn;
 }
 
 std::vector<NodeId> TopologyBase::advertised_of(NodeId originator) const {
   std::vector<NodeId> result;
-  auto it = entries_.find(originator);
-  if (it == entries_.end()) return result;
-  for (const LinkAdvert& a : it->second.advertised)
-    result.push_back(a.neighbor);
+  const Entry* entry = find(originator);
+  if (entry == nullptr) return result;
+  for (const LinkAdvert& a : entry->advertised) result.push_back(a.neighbor);
   return result;
 }
 

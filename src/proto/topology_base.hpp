@@ -1,7 +1,7 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -22,6 +22,13 @@ inline bool ansn_newer(std::uint16_t a, std::uint16_t b) {
 /// RFC 3626 topology information base: what a node has learned from TC
 /// floods. Keyed by originator; a newer ANSN replaces the stale advert,
 /// and entries expire when not refreshed.
+///
+/// Storage is one originator-indexed entry array with a presence flag
+/// (DESIGN.md §5 "Per-node protocol state"): a TC's lookup is an array
+/// read, index order is ascending originator order, and an entry's advert
+/// buffer keeps its capacity across refresh, expiry and clear(). In a
+/// converged network every node holds nearly every originator, so the
+/// dense array is also smaller than one heap node per originator.
 class TopologyBase {
  public:
   explicit TopologyBase(double hold_time = 15.0) : hold_time_(hold_time) {}
@@ -59,8 +66,15 @@ class TopologyBase {
   /// base is empty) — when the next expiry-driven purge event is due.
   double next_expiry() const;
 
-  /// Drops every entry — the per-run reset of a reused protocol stack.
-  void clear() { entries_.clear(); }
+  /// Drops every entry — the crash of a reused protocol stack. Keeps the
+  /// entry array and every advert buffer.
+  void clear();
+
+  /// The per-run reset: clear(), rebind the hold time, and size the entry
+  /// array for originators 0..node_count-1. An originator past it still
+  /// works — the insert grows the array — but a simulation's never is
+  /// (OlsrNode drops any frame naming an id outside the deployment).
+  void reset(double hold_time, std::size_t node_count);
 
   /// All live advertised links, as an undirected QoS graph over
   /// `node_count` nodes — the knowledge a routing-table computation merges
@@ -89,16 +103,18 @@ class TopologyBase {
   /// value a fresher TC must beat under ansn_newer.
   std::optional<std::uint16_t> ansn_of(NodeId originator) const;
 
-  /// Visits every held advert as (originator, advert), in deterministic
-  /// (ordered-map) order — the invariant monitor's audit walks this to
-  /// compare a converged base against the ground-truth graph.
+  /// Visits every held advert as (originator, advert), ascending
+  /// originator — the invariant monitor's audit walks this to compare a
+  /// converged base against the ground-truth graph.
   template <typename Fn>
   void for_each_advert(Fn&& fn) const {
-    for (const auto& [originator, entry] : entries_)
-      for (const LinkAdvert& a : entry.advertised) fn(originator, a);
+    for (std::size_t o = 0; o < entries_.size(); ++o)
+      if (entries_[o].present)
+        for (const LinkAdvert& a : entries_[o].advertised)
+          fn(static_cast<NodeId>(o), a);
   }
 
-  std::size_t originator_count() const { return entries_.size(); }
+  std::size_t originator_count() const { return count_; }
 
   /// Folds the advertised topology — (originator, advertised neighbor)
   /// pairs, deterministic order — into a running state digest. Expiry
@@ -118,9 +134,21 @@ class TopologyBase {
  private:
   struct Entry {
     std::uint16_t ansn = 0;
+    bool present = false;  ///< an advert from this originator is held
     double expires = 0.0;
     std::vector<LinkAdvert> advertised;
   };
+
+  const Entry* find(NodeId originator) const {
+    if (originator >= entries_.size() || !entries_[originator].present)
+      return nullptr;
+    return &entries_[originator];
+  }
+  void drop(Entry& entry) {
+    entry.present = false;
+    entry.advertised.clear();
+    --count_;
+  }
 
   /// ANSN comparison with wrap-around (RFC 3626 §9.2 semantics).
   static bool newer(std::uint16_t a, std::uint16_t b) {
@@ -128,7 +156,8 @@ class TopologyBase {
   }
 
   double hold_time_;
-  std::map<NodeId, Entry> entries_;
+  std::vector<Entry> entries_;  ///< indexed by originator id
+  std::size_t count_ = 0;       ///< entries with `present` set
 };
 
 }  // namespace qolsr

@@ -65,8 +65,10 @@ OlsrNode::OlsrNode(NodeId id, Medium& medium, TraceStats& trace,
       route_fn_(&route_fn),
       config_(config),
       rng_(seed ^ (0x517cc1b727220a95ULL * (id + 1))),
-      tables_(id, config.neighbor_hold),
-      topology_(config.topology_hold) {}
+      tables_(id) {
+  tables_.reset(config.neighbor_hold, medium_.node_count());
+  topology_.reset(config.topology_hold, medium_.node_count());
+}
 
 void OlsrNode::reset(const AnsSelector& flooding_selector,
                      const AnsSelector& ans_selector, const RouteFn& route_fn,
@@ -76,8 +78,10 @@ void OlsrNode::reset(const AnsSelector& flooding_selector,
   route_fn_ = &route_fn;
   config_ = config;
   rng_ = util::Rng(seed ^ (0x517cc1b727220a95ULL * (id_ + 1)));
-  tables_ = NeighborTables(id_, config.neighbor_hold);
-  topology_ = TopologyBase(config.topology_hold);
+  // Tables keep their storage across runs; they are sized for this
+  // deployment's ids, which in_deployment keeps every frame within.
+  tables_.reset(config.neighbor_hold, medium_.node_count());
+  topology_.reset(config.topology_hold, medium_.node_count());
   duplicates_.clear();
   flooding_mpr_.clear();
   ans_.clear();
@@ -108,8 +112,8 @@ void OlsrNode::crash() {
   alive_ = false;
   // All soft state is gone; ansn_ and next_sequence_ deliberately survive
   // (see the header — the RFC's stable-storage assumption).
-  tables_ = NeighborTables(id_, config_.neighbor_hold);
-  topology_ = TopologyBase(config_.topology_hold);
+  tables_.clear();
+  topology_.clear();
   duplicates_.clear();
   flooding_mpr_.clear();
   ans_.clear();

@@ -139,7 +139,15 @@ TrafficMatrix TrafficMatrix::generate(const TrafficSpec& spec,
 void ContendedMedium::reset(const TrafficSpec* spec) {
   spec_ = spec;
   active_ = spec != nullptr && spec->active();
-  busy_until_.clear();
+  if (!active_) return;
+  const Graph& network = sim_->network();
+  first_link_.resize(network.node_count());
+  std::size_t links = 0;
+  for (NodeId u = 0; u < network.node_count(); ++u) {
+    first_link_[u] = links;
+    links += network.degree(u);
+  }
+  busy_until_.assign(links, 0.0);
 }
 
 double ContendedMedium::admit(NodeId from, NodeId to,
@@ -149,13 +157,15 @@ double ContendedMedium::admit(NodeId from, NodeId to,
   const double frame_bytes = static_cast<double>(
       bytes.size() + (data ? spec_->packet_bytes : 0));
 
-  const LinkQos* qos = sim_->network().edge_qos(from, to);
-  const double scale = qos != nullptr && qos->bandwidth > 0.0
-                           ? qos->bandwidth
-                           : 1.0;
+  const Graph& network = sim_->network();
+  const Edge* link = network.find_edge(from, to);
+  if (link == nullptr) return -1.0;
+  const double scale = link->qos.bandwidth > 0.0 ? link->qos.bandwidth : 1.0;
   const double capacity = spec_->link_capacity * scale;
 
-  double& busy_until = busy_until_[directed_key(from, to)];
+  const auto position =
+      static_cast<std::size_t>(link - network.neighbors(from).data());
+  double& busy_until = busy_until_[first_link_[from] + position];
   const double backlog_bytes =
       std::max(0.0, busy_until - now) * capacity;
   if (backlog_bytes + frame_bytes >

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -150,9 +149,10 @@ class ContendedMedium {
   ContendedMedium(Simulator& sim, TraceStats& trace)
       : sim_(&sim), trace_(&trace) {}
 
-  /// Per-run (re)configuration: binds the spec (nullptr = uncontended) and
-  /// clears every link's virtual clock. The spec is borrowed and must stay
-  /// alive until the next reset.
+  /// Per-run (re)configuration: binds the spec (nullptr = uncontended) and,
+  /// when it is active, sizes one zeroed virtual clock per directed link of
+  /// the simulator's network (which must be bound already). The spec is
+  /// borrowed and must stay alive until the next reset.
   void reset(const TrafficSpec* spec);
 
   bool active() const { return active_; }
@@ -161,21 +161,22 @@ class ContendedMedium {
   /// (from, to) at time `now`: the extra queueing delay in seconds to add
   /// on top of propagation (0 on an idle link), or a negative value when
   /// the frame is tail-dropped. Mutates the link's virtual clock and the
-  /// trace counters; the caller must honor the verdict.
+  /// trace counters; the caller must honor the verdict. (from, to) must be
+  /// a link of the network — the only legs the fault layer delivers; a
+  /// frame on any other pair has no link to queue on and is dropped.
   double admit(NodeId from, NodeId to, const std::vector<std::byte>& bytes,
                double now);
 
  private:
-  static std::uint64_t directed_key(NodeId from, NodeId to) {
-    return (static_cast<std::uint64_t>(from) << 32) | to;
-  }
-
   Simulator* sim_;
   TraceStats* trace_;
   const TrafficSpec* spec_ = nullptr;
   bool active_ = false;
-  /// Virtual clock per directed link: the time its FIFO queue drains.
-  std::unordered_map<std::uint64_t, double> busy_until_;
+  /// Virtual clock per directed link — the time its FIFO queue drains —
+  /// laid out parallel to the network's adjacency: the clock of (u, v) is
+  /// busy_until_[first_link_[u] + position of v in neighbors(u)].
+  std::vector<std::size_t> first_link_;
+  std::vector<double> busy_until_;
 };
 
 }  // namespace qolsr
