@@ -1,8 +1,11 @@
 // Microbenchmarks of the discrete-event control plane: events/sec, the
-// cost of converging a whole network, and the steady-state allocation
-// behavior of the pooled duplicate set and data-forwarding paths (the
-// allocation counters double as assertions — a benchmark fails with
-// SkipWithError when a path contracted to be allocation-free allocates).
+// cost of converging a whole network, the per-layer cost of the protocol
+// tables (HELLO refresh, TC refresh, the duplicate-TC receive path, a
+// duplicate-set sweep with nothing due — one operation per iteration, so
+// the reported time is ns/op), and the steady-state allocation behavior
+// of the pooled duplicate set and data-forwarding paths (the allocation
+// counters double as assertions — a benchmark fails with SkipWithError
+// when a path contracted to be allocation-free allocates).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -13,6 +16,8 @@
 #include "core/fnbp.hpp"
 #include "graph/deployment.hpp"
 #include "proto/duplicate_set.hpp"
+#include "proto/neighbor_tables.hpp"
+#include "proto/topology_base.hpp"
 #include "routing/routing_table.hpp"
 #include "sim/simulator.hpp"
 
@@ -189,6 +194,135 @@ void BM_DuplicateSetSteadyState(benchmark::State& state) {
     state.SkipWithError("pooled duplicate set allocated in steady state");
 }
 
+// The per-layer table benchmarks model one node of a 49-node network
+// (ids 0..48): node 0 with 16 symmetric neighbors 1, 4, .., 46.
+constexpr NodeId kTableSelf = 0;
+constexpr NodeId kTableNodes = 49;
+constexpr NodeId kTableDegree = 16;
+
+NodeId table_neighbor(NodeId k) { return 3 * k + 1; }
+
+LinkQos table_qos(NodeId a, NodeId b) {
+  LinkQos q;
+  q.bandwidth = 1.0 + static_cast<double>((a * 7 + b * 13) % 10);
+  return q;
+}
+
+/// The HELLO each neighbor sends: it lists us and 15 other nodes, all
+/// symmetric.
+std::vector<HelloMessage> table_hellos() {
+  std::vector<HelloMessage> hellos;
+  for (NodeId k = 0; k < kTableDegree; ++k) {
+    HelloMessage h;
+    h.originator = table_neighbor(k);
+    h.links.push_back({kTableSelf, LinkStatus::kSymmetric,
+                       table_qos(h.originator, kTableSelf)});
+    for (NodeId j = 1; j < kTableDegree; ++j) {
+      const NodeId to = (h.originator + 2 * j) % kTableNodes;
+      if (to != kTableSelf && to != h.originator)
+        h.links.push_back(
+            {to, LinkStatus::kSymmetric, table_qos(h.originator, to)});
+    }
+    hellos.push_back(std::move(h));
+  }
+  return hellos;
+}
+
+/// Node 0's tables after two HELLO rounds: every neighbor symmetric.
+NeighborTables table_neighbors(const std::vector<HelloMessage>& hellos) {
+  NeighborTables tables(kTableSelf);
+  for (int round = 0; round < 2; ++round)
+    for (const HelloMessage& h : hellos)
+      tables.on_hello(h, table_qos(h.originator, kTableSelf), 0.0);
+  return tables;
+}
+
+// One HELLO refresh at degree 16: the link entry lookup plus the advert
+// compare, with nothing changed — the steady-state HELLO reception.
+void BM_OnHelloRefresh(benchmark::State& state) {
+  const std::vector<HelloMessage> hellos = table_hellos();
+  NeighborTables tables = table_neighbors(hellos);
+  double now = 0.0;
+  std::size_t k = 0;
+  for (auto _ : state) {
+    const HelloMessage& h = hellos[k];
+    now += 1e-9;
+    benchmark::DoNotOptimize(
+        tables.on_hello(h, table_qos(h.originator, kTableSelf), now));
+    k = k + 1 == hellos.size() ? 0 : k + 1;
+  }
+}
+
+// One same-ANSN TC refresh in a 49-originator topology base (4 adverts
+// per TC) — what every fresh TC reception costs once converged.
+void BM_ApplyTcRefresh(benchmark::State& state) {
+  std::vector<TcMessage> tcs;
+  for (NodeId o = 0; o < kTableNodes; ++o) {
+    TcMessage tc;
+    tc.originator = o;
+    tc.ansn = 7;
+    for (NodeId j = 1; j <= 4; ++j) {
+      const NodeId to = (o + 5 * j) % kTableNodes;
+      tc.advertised.push_back({to, LinkStatus::kSymmetric, table_qos(o, to)});
+    }
+    tcs.push_back(std::move(tc));
+  }
+  TopologyBase base;
+  for (const TcMessage& tc : tcs) base.apply_tc(tc, 0.0);
+  double now = 0.0;
+  std::size_t k = 0;
+  for (auto _ : state) {
+    now += 1e-9;
+    benchmark::DoNotOptimize(base.apply_tc(tcs[k], now));
+    k = k + 1 == tcs.size() ? 0 : k + 1;
+  }
+}
+
+// The duplicate-TC receive path (about three in four TC receptions once
+// converged): the symmetric-link check on the previous hop, then a
+// duplicate-set hit.
+void BM_TcDuplicateReceiver(benchmark::State& state) {
+  const NeighborTables tables = table_neighbors(table_hellos());
+  DuplicateSet duplicates;
+  for (std::uint16_t seq = 0; seq < 4; ++seq)
+    for (NodeId o = 0; o < kTableNodes; ++o)
+      duplicates.check_and_insert(o, seq, 0.0);
+  double now = 0.0;
+  NodeId k = 0;
+  std::uint16_t seq = 0;
+  NodeId originator = 0;
+  for (auto _ : state) {
+    now += 1e-9;
+    const NodeId from = table_neighbor(k);
+    bool fresh = false;
+    if (tables.is_symmetric(from))
+      fresh = duplicates.check_and_insert(originator, seq, now);
+    benchmark::DoNotOptimize(fresh);
+    k = k + 1 == kTableDegree ? 0 : k + 1;
+    if (++originator == kTableNodes) {
+      originator = 0;
+      seq = static_cast<std::uint16_t>((seq + 1) % 4);
+    }
+  }
+}
+
+// A duplicate-set sweep with nothing due yet (the 30 s hold outlives the
+// TC interval that triggers each sweep) over 6 floods of 49 originators.
+void BM_DuplicateSetExpireNoop(benchmark::State& state) {
+  DuplicateSet duplicates;
+  for (std::uint16_t seq = 0; seq < 6; ++seq)
+    for (NodeId o = 0; o < kTableNodes; ++o)
+      duplicates.check_and_insert(o, seq, 0.0);
+  double now = 0.0;
+  for (auto _ : state) {
+    now += 1e-9;
+    duplicates.expire(now);
+    benchmark::DoNotOptimize(duplicates.size());
+  }
+  if (duplicates.size() != 6 * kTableNodes)
+    state.SkipWithError("a sweep with nothing due dropped entries");
+}
+
 // Steady-state data forwarding with warm caches: route memo hits, cached
 // knowledge view, workspace Dijkstra. Reports allocs/packet (serialize +
 // delivery events + journey record) and asserts the per-packet
@@ -245,6 +379,10 @@ void BM_SteadyStateDataForwarding(benchmark::State& state) {
 
 BENCHMARK(BM_EventQueueThroughput);
 BENCHMARK(BM_DuplicateSetSteadyState);
+BENCHMARK(BM_OnHelloRefresh);
+BENCHMARK(BM_ApplyTcRefresh);
+BENCHMARK(BM_TcDuplicateReceiver);
+BENCHMARK(BM_DuplicateSetExpireNoop);
 BENCHMARK(BM_SteadyStateDataForwarding)->Arg(8);
 BENCHMARK(BM_BroadcastFanout)->Arg(10)->Arg(30);
 BENCHMARK(BM_ControlPlaneConvergence)->Arg(6)->Arg(10)->Unit(benchmark::kMillisecond);
