@@ -11,7 +11,6 @@
 #include "olsr/topology_filtering.hpp"
 #include "path/dijkstra.hpp"
 #include "path/first_hops.hpp"
-#include "routing/advertised_topology.hpp"
 #include "routing/forwarding.hpp"
 
 using namespace qolsr;
@@ -57,8 +56,7 @@ void figure1() {
   const FnbpSelector<BandwidthMetric> fnbp;
   for (const AnsSelector* s :
        std::initializer_list<const AnsSelector*>{&qolsr, &fnbp}) {
-    const Graph adv = build_advertised_topology(g, select_all(g, *s));
-    const auto r = forward_packet<BandwidthMetric>(g, adv, 0, 2);
+    const auto r = forward_packet<BandwidthMetric>(g, select_all(g, *s), 0, 2);
     std::cout << s->name() << ": v1->v3 via";
     for (NodeId hop : r.path) std::cout << " v" << hop + 1;
     std::cout << " bandwidth " << r.value << "\n";

@@ -41,14 +41,16 @@ int main() {
     std::cout << "}\n";
   }
 
-  // 3. The union of advertised links is what TC messages spread.
-  const Graph advertised = build_advertised_topology(network, ans);
-  std::cout << "advertised links: " << advertised.edge_count() << " of "
+  // 3. The union of advertised links is what TC messages spread (the CSR
+  //    form stores each link in both directions).
+  AdvertisedTopologyBuilder builder;
+  CsrTopology advertised;
+  builder.build_advertised(network, ans, advertised);
+  std::cout << "advertised links: " << advertised.edge_count() / 2 << " of "
             << network.edge_count() << "\n";
 
   // 4. Route v1 → v3 hop by hop and compare with the centralized optimum.
-  const auto routed =
-      forward_packet<BandwidthMetric>(network, advertised, 0, 2);
+  const auto routed = forward_packet<BandwidthMetric>(network, ans, 0, 2);
   const auto optimal = dijkstra<BandwidthMetric>(network, 0);
   std::cout << "routed path:";
   for (NodeId hop : routed.path) std::cout << " v" << hop + 1;

@@ -46,9 +46,8 @@ int main(int argc, char** argv) {
       tc_bytes += static_cast<double>(tc_wire_size(set.size()));
     tc_bytes /= static_cast<double>(ans.size());
 
-    const Graph advertised = build_advertised_topology(run.graph, ans);
     const auto routed = forward_packet<BandwidthMetric>(
-        run.graph, advertised, run.source, run.destination);
+        run.graph, ans, run.source, run.destination);
 
     table.add_row({std::string(selector->name()),
                    util::format_double(avg_size, 2),

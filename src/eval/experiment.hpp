@@ -109,41 +109,8 @@ ExperimentResult run_experiment(
 /// Parses `--flag=value` strings (CLI argv after the program name) into a
 /// spec, starting from `base` so canned specs (figure_spec) can be
 /// customized; later flags override earlier ones. Throws ExperimentError
-/// on unknown flags or unparsable values. Flags:
-///
-///   --name=S              experiment name (labels the output)
-///   --backend=B           oracle|packet|wire execution engine (BackendId)
-///   --wire-scale=F        wire backend timing compression (default 0.02)
-///   --metric=NAME         bandwidth|delay|jitter|loss|energy|buffers
-///   --selectors=A,B,...   SelectorRegistry names, column order
-///   --densities=D1,D2,... mean-degree sweep points
-///   --runs=N --seed=S --threads=T (T=0: hardware concurrency)
-///   --field=WxH --radius=R deployment geometry
-///   --qos-hi=V            upper bound of the magnitude-style QoS intervals
-///                         (bandwidth/delay/energy/buffers; the jitter and
-///                         loss probability intervals are unaffected)
-///   --continuous-qos      real-valued link weights (default: integers)
-///   --routing=union|chain --hop-by-hop --pairs=two_hop|any
-///   --max-resamples=N     sample_run degenerate-deployment cap
-///   --mobility=MODEL      none|waypoint|churn epoch-loop evaluation
-///   --epochs=N --epoch-duration=S --speed=V|LO:HI --pause=N
-///   --churn-down=P --churn-up=P --refresh=N (TC refresh lag, epochs)
-///   --axis=density|speed|loss|load|adversary sweep-value meaning
-///                         (--degree fixes the density for non-density
-///                         sweeps)
-///   --loss=P              ambient frame-loss probability (packet backend)
-///   --probes=N            data probes per (run, protocol) (default 1)
-///   --crash=K[@D] --flap=K[@D] --partition=D
-///                         scheduled fault incidents injected after the
-///                         measurement phase; re-convergence is timed
-///   --adversaries=K@kind[,kind...] subvert K nodes per run (blackhole|
-///                         liar|replayer|selfish, round-robin roles)
-///   --corrupt=P           per-frame wire bit-flip probability
-///   --traffic=PROC        none|poisson|cbr|pareto flow arrival process
-///   --pattern=P --flows=N --load=X --traffic-rate=R --traffic-duration=S
-///   --pareto-shape=A --packet-bytes=N --capacity=C --queue-bytes=N
-///   --hotspots=N          traffic-workload knobs (packet backend)
-///   --format=F --output=PATH --per-run
+/// on unknown flags or unparsable values. The accepted flags are listed by
+/// experiment_flags_help() (`qolsr_eval --help`).
 ExperimentSpec parse_experiment_spec(const std::vector<std::string>& args,
                                      ExperimentSpec base = {});
 

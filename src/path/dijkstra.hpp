@@ -332,7 +332,7 @@ class DijkstraWorkspace {
 namespace dijkstra_detail {
 
 inline std::size_t graph_size(const LocalView& g) { return g.size(); }
-/// Any graph-like type exposing node_count() (Graph, DirectedGraph,
+/// Any graph-like type exposing node_count() (Graph, CsrTopology,
 /// WeightedLocalView, …).
 template <typename G>
   requires requires(const G& g) {

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "graph/local_view.hpp"
 #include "graph/node_id.hpp"
 
 namespace qolsr {
@@ -47,15 +46,18 @@ class CsrTopology {
 
 /// Reusable constructor of `CsrTopology` views. Owns the pending-edge and
 /// cursor scratch, so per-(run, selector) rebuilds are allocation-free in
-/// steady state — the seed path rebuilt a vector-of-vectors `Graph` with an
-/// O(degree) `has_edge` scan per advertised pair instead.
+/// steady state.
 class AdvertisedTopologyBuilder {
  public:
-  /// The network-wide advertised topology (see build_advertised_topology):
-  /// the undirected union of {u,w} for every w ∈ ans_per_node[u], each link
-  /// carrying its QoS record from `full`. Throws std::logic_error when an
-  /// ANS member is not a 1-hop neighbor of its advertiser — same contract
-  /// as the Graph-returning form.
+  /// The network-wide routable topology assembled from every node's
+  /// advertised set: node u announces its ANS in TC messages, so the link
+  /// (u,w) becomes known to all nodes for every w ∈ ans_per_node[u]. Links
+  /// are bidirectional (paper §III-A), hence the union is kept undirected;
+  /// each link carries its QoS record from `full`. Throws std::logic_error
+  /// when `ans_per_node` does not hold one set per node of `full`, or when
+  /// an ANS member is not a 1-hop neighbor of its advertiser — an ANS is
+  /// selected from the 1-hop neighborhood, so a non-neighbor member means
+  /// the selector and the topology disagree, which must not pass silently.
   void build_advertised(const Graph& full,
                         const std::vector<std::vector<NodeId>>& ans_per_node,
                         CsrTopology& out);
@@ -81,26 +83,6 @@ class AdvertisedTopologyBuilder {
   std::vector<std::uint32_t> cursor_;  ///< per-row counts, then end offsets
   std::vector<NodeId> scratch_to_;     ///< row-bucketed neighbor ids
 };
-
-/// Assembles the network-wide routable topology from every node's
-/// advertised set: node u announces its ANS in TC messages, so the link
-/// (u,w) becomes known to all nodes for every w ∈ ANS(u). Links are
-/// bidirectional (paper §III-A), hence the union is kept undirected.
-///
-/// `ans_per_node[u]` is the advertised set of node u (global ids). The
-/// result has the same node set as `full`; each advertised link carries its
-/// QoS record from `full`. Throws std::logic_error when an ANS member is
-/// not a 1-hop neighbor of its advertiser — an ANS is selected from the
-/// 1-hop neighborhood, so a non-neighbor member means the selector and the
-/// topology disagree, which must not pass silently (the assert-only guard
-/// this replaces dropped the link without a trace in release builds).
-Graph build_advertised_topology(
-    const Graph& full, const std::vector<std::vector<NodeId>>& ans_per_node);
-
-/// Adds every link of `view` that `base` is missing (u's private HELLO
-/// knowledge on top of the TC-advertised topology). Used to build the
-/// knowledge graph a node actually routes on.
-void merge_local_view(Graph& base, const LocalView& view);
 
 /// Average advertised-set size — the y-axis of the paper's Figs. 6 and 7.
 double average_set_size(const std::vector<std::vector<NodeId>>& ans_per_node);

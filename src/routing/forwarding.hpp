@@ -10,7 +10,6 @@
 #include "metrics/metric.hpp"
 #include "path/path.hpp"
 #include "routing/advertised_topology.hpp"
-#include "routing/directed.hpp"
 #include "routing/knowledge_view.hpp"
 #include "routing/routing_table.hpp"
 
@@ -52,8 +51,8 @@ struct ForwardingOptions {
   /// this way — it "maintains shortest paths in terms of number of hops"
   /// (paper §II) — which is precisely why it strays from the QoS optimum.
   bool min_hop_routing = false;
-  /// Stale-advertisement (dynamics) mode, workspace forms only: the
-  /// advertised topology handed in may predate the current `full` graph
+  /// Stale-advertisement (dynamics) mode: the advertised topology routed
+  /// on may predate the current `full` graph
   /// (the last TC refresh's knowledge), so the plan can ride links that no
   /// longer exist. Before the packet is handed to a computed next hop, the
   /// link is verified against `full`; a vanished link aborts the attempt
@@ -62,203 +61,15 @@ struct ForwardingOptions {
   /// verifies every planned hop as the packet walks the plan. Off (no
   /// verification, advertised state assumed current) by default.
   bool verify_links = false;
-  /// Dynamics mode, ANS-chain model only: plan the directed relay base on
+  /// Dynamics mode: build the advertised topology from the ANS sets on
   /// this graph — the topology as of the last TC refresh — instead of
-  /// `full`, so relay links that died since the advertisement stay in
-  /// every hop's plan: knowledge is exactly as stale as the TC flood that
-  /// spread it. Each hop's *own* links still come fresh from `full`.
+  /// `full`, so links that died since the advertisement stay in every
+  /// hop's plan: knowledge is exactly as stale as the TC flood that spread
+  /// it. Each hop's *own* links still come fresh from `full`. Read by the
+  /// forms that take ANS sets; a `CsrTopology` handed in is already built
+  /// from whichever graph its caller chose.
   const Graph* advertised_snapshot = nullptr;
 };
-
-/// Hop-by-hop forwarding of one packet, the paper's routing model: every
-/// traversed node independently computes its QoS next hop toward the
-/// destination on *its* knowledge graph (TC-advertised topology + what it
-/// learned from HELLOs) and hands the packet over. The traversed path and
-/// its QoS value on the real graph are returned — `value` is the b (resp.
-/// d) compared against the centralized optimum b* (resp. d*) in Figs. 8/9.
-template <Metric M>
-ForwardingResult forward_packet(const Graph& full, const Graph& advertised,
-                                NodeId source, NodeId destination,
-                                const ForwardingOptions& options = {}) {
-  ForwardingResult result;
-  result.path.push_back(source);
-  if (source == destination) {
-    result.status = ForwardingStatus::kDelivered;
-    result.value = M::identity();
-    return result;
-  }
-
-  const std::size_t cap =
-      options.max_hops > 0 ? options.max_hops : 4 * full.node_count();
-  std::vector<bool> visited(full.node_count(), false);
-  visited[source] = true;
-
-  NodeId current = source;
-  while (result.path.size() <= cap) {
-    // The knowledge graph of `current`: advertised topology plus whatever
-    // HELLO exchange taught it about its own neighborhood.
-    Graph knowledge = advertised;
-    if (options.use_local_views) {
-      merge_local_view(knowledge, LocalView(full, current));
-    } else {
-      for (const Edge& e : full.neighbors(current))
-        if (!knowledge.has_edge(current, e.to))
-          knowledge.add_edge(current, e.to, e.qos);
-    }
-
-    const NodeId next =
-        options.min_hop_routing
-            ? compute_min_hop_next_hop<M>(knowledge, current, destination)
-            : compute_next_hop<M>(knowledge, current, destination);
-    if (next == kInvalidNode) {
-      result.status = ForwardingStatus::kNoRoute;
-      return result;
-    }
-    result.path.push_back(next);
-    if (next == destination) {
-      result.status = ForwardingStatus::kDelivered;
-      result.value = evaluate_path<M>(full, result.path);
-      return result;
-    }
-    if (visited[next]) {
-      result.status = ForwardingStatus::kLoop;
-      return result;
-    }
-    visited[next] = true;
-    current = next;
-  }
-  result.status = ForwardingStatus::kHopLimit;
-  return result;
-}
-
-/// Hop-by-hop forwarding in the **ANS-chain model** — the OLSR forwarding
-/// rule as the paper states it (§I): "a node wanting to send a packet
-/// sends it to one of its MPRs which will relay it to one of its MPRs and
-/// so on". The usable relay edges are *directed*: x may hand the packet to
-/// w only when w ∈ ANS(x). Two standard completions: any node holding a
-/// packet for a direct neighbor delivers it (modelled as each hop's own
-/// out-edges to its neighbors, usable as the immediate hop only), and any
-/// *advertised* link into the destination serves as a final hop (the
-/// planner knows that link from TCs; the node at its far end delivers
-/// across it).
-///
-/// This is the model under which the selection heuristics actually differ
-/// in route quality: QOLSR's per-target-optimal 2-hop relays compose badly
-/// over long routes, while FNBP's chains were built to compose. It is also
-/// where the Fig.-4 loop-fix is load-bearing — without it the directed
-/// chains can dead-end behind a bottleneck link.
-///
-/// Loop-freedom: all hops plan on the same directed base D (their private
-/// out-edges appear only as the first hop of their own plan, so the plan
-/// suffix is always visible downstream), and the next hop is exact
-/// lexicographic (value, hops); the potential argument of
-/// `compute_next_hop` applies unchanged.
-template <Metric M>
-ForwardingResult forward_via_ans(
-    const Graph& full, const std::vector<std::vector<NodeId>>& ans_per_node,
-    NodeId source, NodeId destination,
-    const ForwardingOptions& options = {}) {
-  ForwardingResult result;
-  result.path.push_back(source);
-  if (source == destination) {
-    result.status = ForwardingStatus::kDelivered;
-    result.value = M::identity();
-    return result;
-  }
-
-  // Directed relay base: x → w for w ∈ ANS(x), plus advertised final hops
-  // into the destination.
-  DirectedGraph base(full.node_count());
-  for (NodeId x = 0; x < full.node_count(); ++x) {
-    for (NodeId w : ans_per_node[x]) {
-      const LinkQos* qos = full.edge_qos(x, w);
-      if (qos == nullptr) continue;
-      base.add_edge(x, w, *qos);
-      if (w == destination) continue;
-      // The undirected advertised link {x,w} is known network-wide; if one
-      // end is the destination, the other end can complete the delivery.
-      if (x == destination) base.add_edge(w, x, *qos);
-    }
-  }
-
-  const std::size_t cap =
-      options.max_hops > 0 ? options.max_hops : 4 * full.node_count();
-  std::vector<bool> visited(full.node_count(), false);
-  visited[source] = true;
-
-  NodeId current = source;
-  while (result.path.size() <= cap) {
-    // This hop's own links, usable as its immediate next hop.
-    DirectedGraph knowledge = base;
-    for (const Edge& e : full.neighbors(current))
-      knowledge.add_edge(current, e.to, e.qos);
-
-    const NodeId next =
-        options.min_hop_routing
-            ? compute_min_hop_next_hop<M, DirectedGraph>(knowledge, current,
-                                                         destination)
-            : compute_next_hop<M, DirectedGraph>(knowledge, current,
-                                                 destination);
-    if (next == kInvalidNode) {
-      result.status = ForwardingStatus::kNoRoute;
-      return result;
-    }
-    result.path.push_back(next);
-    if (next == destination) {
-      result.status = ForwardingStatus::kDelivered;
-      result.value = evaluate_path<M>(full, result.path);
-      return result;
-    }
-    if (visited[next]) {
-      result.status = ForwardingStatus::kLoop;
-      return result;
-    }
-    visited[next] = true;
-    current = next;
-  }
-  result.status = ForwardingStatus::kHopLimit;
-  return result;
-}
-
-/// Source-route alternative: the whole path is fixed at the source from its
-/// knowledge graph. Used by tests/benches to compare against hop-by-hop.
-template <Metric M>
-ForwardingResult source_route_packet(const Graph& full,
-                                     const Graph& advertised, NodeId source,
-                                     NodeId destination,
-                                     const ForwardingOptions& options = {}) {
-  Graph knowledge = advertised;
-  if (options.use_local_views) {
-    merge_local_view(knowledge, LocalView(full, source));
-  } else {
-    for (const Edge& e : full.neighbors(source))
-      if (!knowledge.has_edge(source, e.to))
-        knowledge.add_edge(source, e.to, e.qos);
-  }
-  const DijkstraResult dist = options.min_hop_routing
-                                  ? dijkstra_min_hop<M>(knowledge, source)
-                                  : dijkstra<M>(knowledge, source);
-  ForwardingResult result;
-  const std::vector<std::uint32_t> path =
-      extract_path(dist, source, destination);
-  if (path.empty()) {
-    result.status = ForwardingStatus::kNoRoute;
-    result.path.push_back(source);
-    return result;
-  }
-  result.status = ForwardingStatus::kDelivered;
-  result.path.assign(path.begin(), path.end());
-  result.value = evaluate_path<M>(full, result.path);
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Workspace forwarding: the allocation-free, copy-free forms. Same
-// semantics, same results, bit for bit — the seed forms above deep-copy
-// the advertised graph once per traversed hop and re-allocate every
-// Dijkstra; these route on a KnowledgeView overlay over the CSR advertised
-// base and reuse one scratch bundle for everything (see DESIGN.md §5).
-// ---------------------------------------------------------------------------
 
 /// Per-thread scratch of the forwarding hot path: the next-hop engines
 /// (Dijkstra labels + concave tie-break BFS), the knowledge overlay, the
@@ -293,11 +104,10 @@ namespace forwarding_detail {
 
 /// Patches `ws.knowledge` with what `current` knows beyond the advertised
 /// base: its full HELLO-derived 2-hop view (use_local_views) or its own
-/// incident links. Both directions of every link are patched, mirroring
-/// the undirected seed merge exactly.
-template <typename WS>
-void patch_hop_knowledge(WS& ws, const Graph& full, NodeId current,
-                         bool use_local_views) {
+/// incident links. Both directions of every link are patched: the
+/// advertised union is undirected.
+inline void patch_hop_knowledge(ForwardingWorkspace& ws, const Graph& full,
+                                NodeId current, bool use_local_views) {
   ws.knowledge.begin_hop();
   if (use_local_views) {
     ws.view_builder.build(full, current, ws.view);
@@ -319,135 +129,189 @@ void patch_hop_knowledge(WS& ws, const Graph& full, NodeId current,
   ws.knowledge.finalize_hop();
 }
 
+/// The hop loop shared by both hop-by-hop models: every traversed node
+/// patches its knowledge over `base` (`patch_hop(current)`), computes its
+/// next hop under the routing discipline, and hands the packet over —
+/// after checking the link against `full` when verify_links is set. Ends
+/// on delivery, a hop without a route, a revisited node, or the hop cap.
+template <Metric M, typename PatchHop>
+ForwardingResult route_hop_by_hop(const Graph& full, const CsrTopology& base,
+                                  NodeId source, NodeId destination,
+                                  const ForwardingOptions& options,
+                                  ForwardingWorkspace& ws,
+                                  PatchHop&& patch_hop) {
+  ForwardingResult result;
+  result.path.push_back(source);
+  if (source == destination) {
+    result.status = ForwardingStatus::kDelivered;
+    result.value = M::identity();
+    return result;
+  }
+
+  const std::size_t cap =
+      options.max_hops > 0 ? options.max_hops : 4 * full.node_count();
+  ws.begin_visit(full.node_count());
+  ws.mark_visited(source);
+  ws.knowledge.reset(base);
+
+  NodeId current = source;
+  while (result.path.size() <= cap) {
+    patch_hop(current);
+    const NodeId next =
+        options.min_hop_routing
+            ? compute_min_hop_next_hop<M, KnowledgeView>(
+                  ws.knowledge, current, destination, ws.dijkstra)
+            : compute_next_hop<M, KnowledgeView>(ws.knowledge, current,
+                                                 destination, ws.dijkstra,
+                                                 ws.next_hop);
+    if (next == kInvalidNode) {
+      result.status = ForwardingStatus::kNoRoute;
+      return result;
+    }
+    if (options.verify_links && full.edge_qos(current, next) == nullptr) {
+      result.status = ForwardingStatus::kStaleLink;
+      return result;
+    }
+    result.path.push_back(next);
+    if (next == destination) {
+      result.status = ForwardingStatus::kDelivered;
+      result.value = evaluate_path<M>(full, result.path);
+      return result;
+    }
+    if (ws.visited(next)) {
+      result.status = ForwardingStatus::kLoop;
+      return result;
+    }
+    ws.mark_visited(next);
+    current = next;
+  }
+  result.status = ForwardingStatus::kHopLimit;
+  return result;
+}
+
+/// Per-thread scratch of the forms that take ANS sets instead of a
+/// workspace: the advertised CSR, its builder, and a ForwardingWorkspace.
+struct ThreadScratch {
+  AdvertisedTopologyBuilder builder;
+  CsrTopology advertised;
+  ForwardingWorkspace ws;
+};
+
+inline ThreadScratch& thread_scratch() {
+  thread_local ThreadScratch scratch;
+  return scratch;
+}
+
+/// Builds the undirected advertised union of `ans_per_node` into the
+/// thread's scratch, on the advertised snapshot when one is set.
+inline ThreadScratch& advertise(
+    const Graph& full, const std::vector<std::vector<NodeId>>& ans_per_node,
+    const ForwardingOptions& options) {
+  ThreadScratch& scratch = thread_scratch();
+  scratch.builder.build_advertised(
+      options.advertised_snapshot != nullptr ? *options.advertised_snapshot
+                                             : full,
+      ans_per_node, scratch.advertised);
+  return scratch;
+}
+
 }  // namespace forwarding_detail
 
-/// Workspace form of forward_packet: routes on `advertised` (the CSR form
-/// of the same topology) without copying a graph at any hop.
+/// Hop-by-hop forwarding of one packet, the paper's routing model: every
+/// traversed node independently computes its QoS next hop toward the
+/// destination on *its* knowledge graph (TC-advertised topology + what it
+/// learned from HELLOs) and hands the packet over. The traversed path and
+/// its QoS value on the real graph are returned — `value` is the b (resp.
+/// d) compared against the centralized optimum b* (resp. d*) in Figs. 8/9.
+///
+/// `advertised` is the CSR union of the advertised sets; each hop's
+/// knowledge is a KnowledgeView patch over it, so no graph is copied at
+/// any hop. See ForwardingOptions::use_local_views for why the default
+/// knowledge is `advertised ∪ own incident links`.
 template <Metric M>
 ForwardingResult forward_packet(const Graph& full,
                                 const CsrTopology& advertised, NodeId source,
                                 NodeId destination,
                                 const ForwardingOptions& options,
                                 ForwardingWorkspace& ws) {
-  ForwardingResult result;
-  result.path.push_back(source);
-  if (source == destination) {
-    result.status = ForwardingStatus::kDelivered;
-    result.value = M::identity();
-    return result;
-  }
-
-  const std::size_t cap =
-      options.max_hops > 0 ? options.max_hops : 4 * full.node_count();
-  ws.begin_visit(full.node_count());
-  ws.mark_visited(source);
-  ws.knowledge.reset(advertised);
-
-  NodeId current = source;
-  while (result.path.size() <= cap) {
-    forwarding_detail::patch_hop_knowledge(ws, full, current,
-                                           options.use_local_views);
-    const NodeId next =
-        options.min_hop_routing
-            ? compute_min_hop_next_hop<M, KnowledgeView>(
-                  ws.knowledge, current, destination, ws.dijkstra)
-            : compute_next_hop<M, KnowledgeView>(ws.knowledge, current,
-                                                 destination, ws.dijkstra,
-                                                 ws.next_hop);
-    if (next == kInvalidNode) {
-      result.status = ForwardingStatus::kNoRoute;
-      return result;
-    }
-    if (options.verify_links && full.edge_qos(current, next) == nullptr) {
-      result.status = ForwardingStatus::kStaleLink;
-      return result;
-    }
-    result.path.push_back(next);
-    if (next == destination) {
-      result.status = ForwardingStatus::kDelivered;
-      result.value = evaluate_path<M>(full, result.path);
-      return result;
-    }
-    if (ws.visited(next)) {
-      result.status = ForwardingStatus::kLoop;
-      return result;
-    }
-    ws.mark_visited(next);
-    current = next;
-  }
-  result.status = ForwardingStatus::kHopLimit;
-  return result;
+  return forwarding_detail::route_hop_by_hop<M>(
+      full, advertised, source, destination, options, ws,
+      [&](NodeId current) {
+        forwarding_detail::patch_hop_knowledge(ws, full, current,
+                                               options.use_local_views);
+      });
 }
 
-/// Workspace form of forward_via_ans: the directed relay base is built
-/// once into `ws.chain_base` (no per-call graph, no per-hop copy).
+/// forward_packet on the advertised union of `ans_per_node`, with
+/// per-thread scratch. Throws std::logic_error like
+/// AdvertisedTopologyBuilder::build_advertised.
+template <Metric M>
+ForwardingResult forward_packet(
+    const Graph& full, const std::vector<std::vector<NodeId>>& ans_per_node,
+    NodeId source, NodeId destination, const ForwardingOptions& options = {}) {
+  auto& scratch = forwarding_detail::advertise(full, ans_per_node, options);
+  return forward_packet<M>(full, scratch.advertised, source, destination,
+                           options, scratch.ws);
+}
+
+/// Hop-by-hop forwarding in the **ANS-chain model** — the OLSR forwarding
+/// rule as the paper states it (§I): "a node wanting to send a packet
+/// sends it to one of its MPRs which will relay it to one of its MPRs and
+/// so on". The usable relay edges are *directed*: x may hand the packet to
+/// w only when w ∈ ANS(x). Two standard completions: any node holding a
+/// packet for a direct neighbor delivers it (modelled as each hop's own
+/// out-edges to its neighbors, usable as the immediate hop only), and any
+/// *advertised* link into the destination serves as a final hop (the
+/// planner knows that link from TCs; the node at its far end delivers
+/// across it).
+///
+/// This is the model under which the selection heuristics actually differ
+/// in route quality: QOLSR's per-target-optimal 2-hop relays compose badly
+/// over long routes, while FNBP's chains were built to compose. It is also
+/// where the Fig.-4 loop-fix is load-bearing — without it the directed
+/// chains can dead-end behind a bottleneck link.
+///
+/// Loop-freedom: all hops plan on the same directed base D (their private
+/// out-edges appear only as the first hop of their own plan, so the plan
+/// suffix is always visible downstream), and the next hop is exact
+/// lexicographic (value, hops); the potential argument of
+/// `compute_next_hop` applies unchanged.
+///
+/// The directed relay base is built once per packet into `ws.chain_base`.
 template <Metric M>
 ForwardingResult forward_via_ans(
     const Graph& full, const std::vector<std::vector<NodeId>>& ans_per_node,
     NodeId source, NodeId destination, const ForwardingOptions& options,
     ForwardingWorkspace& ws) {
-  ForwardingResult result;
-  result.path.push_back(source);
-  if (source == destination) {
-    result.status = ForwardingStatus::kDelivered;
-    result.value = M::identity();
-    return result;
-  }
-
   const Graph& planning = options.advertised_snapshot != nullptr
                               ? *options.advertised_snapshot
                               : full;
   ws.chain_builder.build_ans_chain(planning, ans_per_node, destination,
                                    ws.chain_base);
-
-  const std::size_t cap =
-      options.max_hops > 0 ? options.max_hops : 4 * full.node_count();
-  ws.begin_visit(full.node_count());
-  ws.mark_visited(source);
-  ws.knowledge.reset(ws.chain_base);
-
-  NodeId current = source;
-  while (result.path.size() <= cap) {
-    // This hop's own links, usable as its immediate next hop (directed:
-    // the chain base stays the planning graph of every other node).
-    ws.knowledge.begin_hop();
-    for (const Edge& e : full.neighbors(current))
-      ws.knowledge.add_link(current, e.to, e.qos);
-    ws.knowledge.finalize_hop();
-
-    const NodeId next =
-        options.min_hop_routing
-            ? compute_min_hop_next_hop<M, KnowledgeView>(
-                  ws.knowledge, current, destination, ws.dijkstra)
-            : compute_next_hop<M, KnowledgeView>(ws.knowledge, current,
-                                                 destination, ws.dijkstra,
-                                                 ws.next_hop);
-    if (next == kInvalidNode) {
-      result.status = ForwardingStatus::kNoRoute;
-      return result;
-    }
-    if (options.verify_links && full.edge_qos(current, next) == nullptr) {
-      result.status = ForwardingStatus::kStaleLink;
-      return result;
-    }
-    result.path.push_back(next);
-    if (next == destination) {
-      result.status = ForwardingStatus::kDelivered;
-      result.value = evaluate_path<M>(full, result.path);
-      return result;
-    }
-    if (ws.visited(next)) {
-      result.status = ForwardingStatus::kLoop;
-      return result;
-    }
-    ws.mark_visited(next);
-    current = next;
-  }
-  result.status = ForwardingStatus::kHopLimit;
-  return result;
+  return forwarding_detail::route_hop_by_hop<M>(
+      full, ws.chain_base, source, destination, options, ws,
+      [&](NodeId current) {
+        // This hop's own links, usable as its immediate next hop (directed:
+        // the chain base stays the planning graph of every other node).
+        ws.knowledge.begin_hop();
+        for (const Edge& e : full.neighbors(current))
+          ws.knowledge.add_link(current, e.to, e.qos);
+        ws.knowledge.finalize_hop();
+      });
 }
 
-/// Workspace form of source_route_packet.
+/// forward_via_ans with per-thread scratch.
+template <Metric M>
+ForwardingResult forward_via_ans(
+    const Graph& full, const std::vector<std::vector<NodeId>>& ans_per_node,
+    NodeId source, NodeId destination, const ForwardingOptions& options = {}) {
+  return forward_via_ans<M>(full, ans_per_node, source, destination, options,
+                            forwarding_detail::thread_scratch().ws);
+}
+
+/// Source-route alternative: the whole path is fixed at the source from its
+/// knowledge graph, and the packet walks it. Used to compare against
+/// hop-by-hop.
 template <Metric M>
 ForwardingResult source_route_packet(const Graph& full,
                                      const CsrTopology& advertised,
@@ -498,6 +362,18 @@ ForwardingResult source_route_packet(const Graph& full,
   result.status = ForwardingStatus::kDelivered;
   result.value = evaluate_path<M>(full, result.path);
   return result;
+}
+
+/// source_route_packet on the advertised union of `ans_per_node`, with
+/// per-thread scratch. Throws std::logic_error like
+/// AdvertisedTopologyBuilder::build_advertised.
+template <Metric M>
+ForwardingResult source_route_packet(
+    const Graph& full, const std::vector<std::vector<NodeId>>& ans_per_node,
+    NodeId source, NodeId destination, const ForwardingOptions& options = {}) {
+  auto& scratch = forwarding_detail::advertise(full, ans_per_node, options);
+  return source_route_packet<M>(full, scratch.advertised, source, destination,
+                                options, scratch.ws);
 }
 
 }  // namespace qolsr

@@ -6,9 +6,9 @@
 #include "core/fnbp.hpp"
 #include "olsr/qolsr_mpr.hpp"
 #include "path/dijkstra.hpp"
-#include "routing/advertised_topology.hpp"
 #include "routing/forwarding.hpp"
 #include "support/paper_graphs.hpp"
+#include "support/reference_routing.hpp"
 
 namespace qolsr {
 namespace {
@@ -30,7 +30,7 @@ TEST(PaperFig1, QolsrMissesTheWidestPath) {
   //  not be used by QOLSR" — it routes over v2 with bandwidth 6.
   const Graph g = Fig1::build();
   const QolsrSelector<BandwidthMetric> qolsr(QolsrVariant::kMpr2);
-  const Graph advertised = build_advertised_topology(g, select_all(g, qolsr));
+  const auto advertised = select_all(g, qolsr);
 
   // QOLSR keeps OLSR's hop-count-primary routing (QoS as tie-break).
   ForwardingOptions options;
@@ -49,7 +49,7 @@ TEST(PaperFig1, QolsrMissesTheWidestPath) {
 TEST(PaperFig1, FnbpFindsTheWidestPath) {
   const Graph g = Fig1::build();
   const FnbpSelector<BandwidthMetric> fnbp;
-  const Graph advertised = build_advertised_topology(g, select_all(g, fnbp));
+  const auto advertised = select_all(g, fnbp);
 
   const auto routed =
       forward_packet<BandwidthMetric>(g, advertised, Fig1::v1, Fig1::v3);
@@ -76,7 +76,7 @@ TEST(PaperFig2, FnbpRoutesOneHopNeighborThroughDetour) {
   // 5) instead of the direct bandwidth-3 link.
   const Graph g = Fig2::build();
   const FnbpSelector<BandwidthMetric> fnbp;
-  const Graph advertised = build_advertised_topology(g, select_all(g, fnbp));
+  const auto advertised = select_all(g, fnbp);
   const auto routed =
       forward_packet<BandwidthMetric>(g, advertised, Fig2::u, Fig2::v4);
   ASSERT_TRUE(routed.delivered());
@@ -88,7 +88,7 @@ TEST(PaperFig4, EveryoneReachesEDespiteTheBottleneck) {
   // With the loop-fix, D is advertised (by A) and every node delivers to E.
   const Graph g = Fig4::build();
   const FnbpSelector<BandwidthMetric> fnbp;
-  const Graph advertised = build_advertised_topology(g, select_all(g, fnbp));
+  const auto advertised = select_all(g, fnbp);
   for (NodeId s : {Fig4::a, Fig4::b, Fig4::c}) {
     const auto routed =
         forward_packet<BandwidthMetric>(g, advertised, s, Fig4::e);
@@ -104,14 +104,15 @@ TEST(PaperFig4, AdvertisedTopologyContainsLastHopOnlyWithLoopFix) {
   options.loop_fix = false;
   const FnbpSelector<BandwidthMetric> without_fix(options);
 
-  const Graph adv_fixed = build_advertised_topology(g, select_all(g, with_fix));
+  const Graph adv_fixed =
+      reference::build_advertised_topology(g, select_all(g, with_fix));
   EXPECT_TRUE(adv_fixed.has_edge(Fig4::a, Fig4::d));
 
   // Without the fix, A never advertises D: the A–D link disappears from
   // the advertised topology (E–D stays only because E itself advertises
   // its sole neighbor).
   const Graph adv_plain =
-      build_advertised_topology(g, select_all(g, without_fix));
+      reference::build_advertised_topology(g, select_all(g, without_fix));
   EXPECT_FALSE(adv_plain.has_edge(Fig4::a, Fig4::d));
 }
 

@@ -17,9 +17,9 @@
 #include "eval/packet_runner.hpp"
 #include "eval/result_sink.hpp"
 #include "graph/connectivity.hpp"
-#include "routing/advertised_topology.hpp"
 #include "sim/simulator.hpp"
 #include "support/random_graphs.hpp"
+#include "support/reference_routing.hpp"
 
 namespace qolsr {
 namespace {
@@ -74,7 +74,8 @@ TEST(BackendEquivalence, ConvergedTopologyBaseEqualsOracleAdvertisedGraph) {
     std::vector<std::vector<NodeId>> oracle_ans(g.node_count());
     for (NodeId u = 0; u < g.node_count(); ++u)
       oracle_ans[u] = ans->select(LocalView(g, u));
-    const Graph oracle_adv = build_advertised_topology(g, oracle_ans);
+    const Graph oracle_adv =
+        reference::build_advertised_topology(g, oracle_ans);
 
     // Once converged, every node has learned exactly the advertised
     // topology of *its component*: nothing missing (ideal MAC flooding —

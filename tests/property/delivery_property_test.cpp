@@ -10,12 +10,12 @@
 namespace qolsr {
 namespace {
 
-template <Metric M>
-Graph advertised_for(const Graph& g, const AnsSelector& selector) {
+std::vector<std::vector<NodeId>> advertised_for(const Graph& g,
+                                                const AnsSelector& selector) {
   std::vector<std::vector<NodeId>> ans(g.node_count());
   for (NodeId u = 0; u < g.node_count(); ++u)
     ans[u] = selector.select(LocalView(g, u));
-  return build_advertised_topology(g, ans);
+  return ans;
 }
 
 class DeliveryPropertyTest : public ::testing::TestWithParam<std::uint64_t> {
@@ -25,7 +25,7 @@ class DeliveryPropertyTest : public ::testing::TestWithParam<std::uint64_t> {
 
   template <Metric M>
   void expect_full_delivery(const AnsSelector& selector) {
-    const Graph adv = advertised_for<M>(graph_, selector);
+    const auto adv = advertised_for(graph_, selector);
     for (NodeId s = 0; s < graph_.node_count(); ++s) {
       for (NodeId d = 0; d < graph_.node_count(); ++d) {
         if (s == d || !components_.connected(s, d)) continue;
@@ -57,7 +57,7 @@ TEST_P(DeliveryPropertyTest, FnbpDeliversEverywhereBothMetrics) {
 
 TEST_P(DeliveryPropertyTest, AchievedDelayNeverBeatsOptimum) {
   const FnbpSelector<DelayMetric> fnbp;
-  const Graph adv = advertised_for<DelayMetric>(graph_, fnbp);
+  const auto adv = advertised_for(graph_, fnbp);
   for (NodeId s = 0; s < std::min<std::size_t>(graph_.node_count(), 10);
        ++s) {
     const auto optimal = dijkstra<DelayMetric>(graph_, s);
@@ -77,7 +77,7 @@ TEST_P(DeliveryPropertyTest, TwoHopRoutesAchieveLocalOptimum) {
   // local-view best value B̃(u,v) — nothing was lost by advertising a
   // single first hop.
   const FnbpSelector<BandwidthMetric> fnbp;
-  const Graph adv = advertised_for<BandwidthMetric>(graph_, fnbp);
+  const auto adv = advertised_for(graph_, fnbp);
   for (NodeId u = 0; u < graph_.node_count(); ++u) {
     const LocalView view(graph_, u);
     const FirstHopTable table = compute_first_hops<BandwidthMetric>(view);

@@ -1,9 +1,9 @@
-// Tests for the directed ANS-chain machinery: DirectedGraph, the
-// hop-count-primary Dijkstra/next-hop, and forward_via_ans.
+// Tests for the directed ANS-chain machinery: the relay base built by
+// AdvertisedTopologyBuilder::build_ans_chain, the hop-count-primary
+// Dijkstra/next-hop, and forward_via_ans.
 #include <gtest/gtest.h>
 
 #include "core/fnbp.hpp"
-#include "routing/directed.hpp"
 #include "routing/forwarding.hpp"
 #include "support/paper_graphs.hpp"
 #include "support/random_graphs.hpp"
@@ -21,39 +21,48 @@ LinkQos qos_bw(double b, double d = 1.0) {
   return q;
 }
 
-TEST(DirectedGraph, EdgesAreOneWay) {
-  DirectedGraph g(3);
-  g.add_edge(0, 1, qos_bw(5));
-  EXPECT_TRUE(g.has_edge(0, 1));
-  EXPECT_FALSE(g.has_edge(1, 0));
-  EXPECT_EQ(g.neighbors(0).size(), 1u);
-  EXPECT_TRUE(g.neighbors(1).empty());
-}
-
-TEST(DirectedGraph, DuplicateInsertIgnored) {
-  DirectedGraph g(2);
-  g.add_edge(0, 1, qos_bw(5));
-  g.add_edge(0, 1, qos_bw(9));
-  ASSERT_EQ(g.neighbors(0).size(), 1u);
-  EXPECT_EQ(g.neighbors(0)[0].qos.bandwidth, 5.0);  // first insert wins
-}
-
-TEST(DirectedGraph, NeighborsSorted) {
-  DirectedGraph g(4);
-  g.add_edge(0, 3, {});
-  g.add_edge(0, 1, {});
-  g.add_edge(0, 2, {});
-  EXPECT_EQ(g.neighbors(0)[0].to, 1u);
-  EXPECT_EQ(g.neighbors(0)[2].to, 3u);
-}
-
-TEST(DirectedGraph, DijkstraRespectsDirection) {
-  DirectedGraph g(3);
+/// The directed relay base of a 3-node line 0–1–2 toward `destination`,
+/// with the given advertised sets.
+CsrTopology chain_base(const std::vector<std::vector<NodeId>>& ans,
+                       NodeId destination) {
+  Graph g(3);
   g.add_edge(0, 1, qos_bw(5));
   g.add_edge(1, 2, qos_bw(5));
-  const auto from0 = dijkstra<BandwidthMetric>(g, 0u);
+  AdvertisedTopologyBuilder builder;
+  CsrTopology base;
+  builder.build_ans_chain(g, ans, destination, base);
+  return base;
+}
+
+TEST(AnsChainBase, RelayEdgesAreOneWay) {
+  const CsrTopology base = chain_base({{1}, {}, {}}, 2);
+  EXPECT_TRUE(base.has_edge(0, 1));
+  EXPECT_FALSE(base.has_edge(1, 0));
+  EXPECT_EQ(base.neighbors(0).size(), 1u);
+  EXPECT_TRUE(base.neighbors(1).empty());
+}
+
+TEST(AnsChainBase, AdvertisedLinkFromTheDestinationIsAFinalHop) {
+  // 2 advertises 1: the link {1,2} is known network-wide, so 1 can
+  // complete a delivery to 2 across it.
+  const CsrTopology base = chain_base({{}, {}, {1}}, 2);
+  EXPECT_TRUE(base.has_edge(2, 1));
+  EXPECT_TRUE(base.has_edge(1, 2));
+  EXPECT_FALSE(chain_base({{}, {}, {1}}, 0).has_edge(1, 2));
+}
+
+TEST(AnsChainBase, RowsSortedAndDeduplicated) {
+  const CsrTopology base = chain_base({{}, {2, 0, 2}, {1}}, 2);
+  ASSERT_EQ(base.neighbors(1).size(), 2u);
+  EXPECT_EQ(base.neighbors(1)[0].to, 0u);
+  EXPECT_EQ(base.neighbors(1)[1].to, 2u);
+}
+
+TEST(AnsChainBase, DijkstraRespectsDirection) {
+  const CsrTopology base = chain_base({{1}, {2}, {}}, 0);
+  const auto from0 = dijkstra<BandwidthMetric>(base, 0u);
   EXPECT_DOUBLE_EQ(from0.value[2], 5.0);
-  const auto from2 = dijkstra<BandwidthMetric>(g, 2u);
+  const auto from2 = dijkstra<BandwidthMetric>(base, 2u);
   EXPECT_EQ(from2.value[0], BandwidthMetric::unreachable());
 }
 

@@ -1,10 +1,10 @@
-// The workspace/overlay forwarding path (CSR advertised base +
-// KnowledgeView patches + reused Dijkstra/BFS scratch) must return
-// *bit-identical* ForwardingResults to the seed path (per-hop Graph copies
-// + allocating compute_next_hop) — same status, same node sequence, same
-// double value — for every metric, every routing model, and both routing
-// disciplines. The figures compare protocols at the third decimal; any
-// drift here silently changes published numbers.
+// The library's forwarding (CSR advertised base + KnowledgeView patches +
+// reused Dijkstra/BFS scratch) must return *bit-identical*
+// ForwardingResults to the reference oracle in tests/support (per-hop
+// Graph copies + allocating compute_next_hop) — same status, same node
+// sequence, same double value — for every metric, every routing model, and
+// both routing disciplines. The figures compare protocols at the third
+// decimal; any drift here silently changes published numbers.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -16,6 +16,7 @@
 #include "routing/advertised_topology.hpp"
 #include "routing/forwarding.hpp"
 #include "support/random_graphs.hpp"
+#include "support/reference_routing.hpp"
 
 namespace qolsr {
 namespace {
@@ -27,22 +28,22 @@ std::vector<std::vector<NodeId>> fnbp_ans(const Graph& g) {
   return ans;
 }
 
-void expect_same(const ForwardingResult& seed, const ForwardingResult& ws,
+void expect_same(const ForwardingResult& oracle, const ForwardingResult& ws,
                  const std::string& context) {
-  EXPECT_EQ(static_cast<int>(seed.status), static_cast<int>(ws.status))
+  EXPECT_EQ(static_cast<int>(oracle.status), static_cast<int>(ws.status))
       << context;
-  EXPECT_EQ(seed.path, ws.path) << context;
-  EXPECT_EQ(seed.value, ws.value) << context;  // bit-identical, not tolerant
+  EXPECT_EQ(oracle.path, ws.path) << context;
+  EXPECT_EQ(oracle.value, ws.value) << context;  // bit-identical, not tolerant
 }
 
-/// Drives every (s, d) pair of one random graph through the seed and the
-/// workspace implementations of all three routing models, under both
+/// Drives every (s, d) pair of one random graph through the reference and
+/// the library implementations of all three routing models, under both
 /// routing disciplines and both knowledge modes.
 template <Metric M>
 void check_metric(std::uint64_t seed_value) {
   const Graph g = testing::random_geometric_graph(seed_value, 6.0, 260.0);
   const auto ans = fnbp_ans(g);
-  const Graph advertised_graph = build_advertised_topology(g, ans);
+  const Graph advertised_graph = reference::build_advertised_topology(g, ans);
 
   AdvertisedTopologyBuilder builder;
   CsrTopology advertised_csr;
@@ -65,15 +66,16 @@ void check_metric(std::uint64_t seed_value) {
               std::to_string(min_hop) + " local=" + std::to_string(local_views);
 
           expect_same(
-              forward_packet<M>(g, advertised_graph, s, d, options),
+              reference::forward_packet<M>(g, advertised_graph, s, d, options),
               forward_packet<M>(g, advertised_csr, s, d, options, ws),
               "hop-by-hop " + context);
           expect_same(
-              source_route_packet<M>(g, advertised_graph, s, d, options),
+              reference::source_route_packet<M>(g, advertised_graph, s, d,
+                                                options),
               source_route_packet<M>(g, advertised_csr, s, d, options, ws),
               "source-route " + context);
           if (!local_views) {  // the chain model has no local-view knob
-            expect_same(forward_via_ans<M>(g, ans, s, d, options),
+            expect_same(reference::forward_via_ans<M>(g, ans, s, d, options),
                         forward_via_ans<M>(g, ans, s, d, options, ws),
                         "ans-chain " + context);
           }
@@ -98,13 +100,14 @@ TEST(ForwardingEquivalence, NonGeometricTopology) {
   AdvertisedTopologyBuilder builder;
   CsrTopology csr;
   builder.build_advertised(g, ans, csr);
-  const Graph adv = build_advertised_topology(g, ans);
+  const Graph adv = reference::build_advertised_topology(g, ans);
   ForwardingWorkspace ws;
   ForwardingOptions options;
   for (NodeId s = 0; s < g.node_count(); ++s)
     for (NodeId d = 0; d < g.node_count(); ++d)
       if (s != d)
-        expect_same(forward_packet<DelayMetric>(g, adv, s, d, options),
+        expect_same(reference::forward_packet<DelayMetric>(g, adv, s, d,
+                                                           options),
                     forward_packet<DelayMetric>(g, csr, s, d, options, ws),
                     "uniform s=" + std::to_string(s) +
                         " d=" + std::to_string(d));
@@ -115,7 +118,7 @@ TEST(ForwardingEquivalence, CsrTopologyMatchesGraphAdjacency) {
   // Graph — identical edge sets, identical iteration order.
   const Graph g = testing::random_geometric_graph(13, 7.0, 280.0);
   const auto ans = fnbp_ans(g);
-  const Graph adv = build_advertised_topology(g, ans);
+  const Graph adv = reference::build_advertised_topology(g, ans);
   AdvertisedTopologyBuilder builder;
   CsrTopology csr;
   builder.build_advertised(g, ans, csr);
@@ -134,17 +137,18 @@ TEST(ForwardingEquivalence, CsrTopologyMatchesGraphAdjacency) {
 
 TEST(ForwardingEquivalence, NonNeighborAnsMemberThrows) {
   // Release builds used to drop the link silently (assert + if); both the
-  // Graph and the CSR builders must now refuse loudly.
+  // reference Graph and the CSR builders must refuse loudly.
   Graph g(3);
   g.add_edge(0, 1);
   std::vector<std::vector<NodeId>> ans(3);
   ans[0] = {2};  // node 2 is not a neighbor of 0
-  EXPECT_THROW(build_advertised_topology(g, ans), std::logic_error);
+  EXPECT_THROW(reference::build_advertised_topology(g, ans), std::logic_error);
   AdvertisedTopologyBuilder builder;
   CsrTopology csr;
   EXPECT_THROW(builder.build_advertised(g, ans, csr), std::logic_error);
   std::vector<std::vector<NodeId>> too_few(2);
-  EXPECT_THROW(build_advertised_topology(g, too_few), std::logic_error);
+  EXPECT_THROW(reference::build_advertised_topology(g, too_few),
+               std::logic_error);
 }
 
 // The golden Fig. 8 CSV pin that used to live here moved to

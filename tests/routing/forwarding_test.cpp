@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/fnbp.hpp"
 #include "graph/connectivity.hpp"
 #include "support/paper_graphs.hpp"
@@ -12,17 +14,19 @@ namespace {
 
 using testing::Fig1;
 
-Graph fnbp_advertised(const Graph& g) {
+using AnsSets = std::vector<std::vector<NodeId>>;
+
+AnsSets fnbp_advertised(const Graph& g) {
   const FnbpSelector<BandwidthMetric> fnbp;
-  std::vector<std::vector<NodeId>> ans(g.node_count());
+  AnsSets ans(g.node_count());
   for (NodeId u = 0; u < g.node_count(); ++u)
     ans[u] = fnbp.select(LocalView(g, u));
-  return build_advertised_topology(g, ans);
+  return ans;
 }
 
 TEST(Forwarding, TrivialSelfDelivery) {
   const Graph g = Fig1::build();
-  const Graph adv = fnbp_advertised(g);
+  const AnsSets adv = fnbp_advertised(g);
   const auto r = forward_packet<BandwidthMetric>(g, adv, Fig1::v1, Fig1::v1);
   EXPECT_TRUE(r.delivered());
   EXPECT_EQ(r.path, (Path{Fig1::v1}));
@@ -31,7 +35,7 @@ TEST(Forwarding, TrivialSelfDelivery) {
 
 TEST(Forwarding, OneHopDelivery) {
   const Graph g = Fig1::build();
-  const Graph adv = fnbp_advertised(g);
+  const AnsSets adv = fnbp_advertised(g);
   const auto r = forward_packet<BandwidthMetric>(g, adv, Fig1::v1, Fig1::v6);
   EXPECT_TRUE(r.delivered());
   EXPECT_EQ(r.path, (Path{Fig1::v1, Fig1::v6}));
@@ -42,7 +46,7 @@ TEST(Forwarding, NoRouteAcrossComponents) {
   Graph g(4);
   g.add_edge(0, 1);
   g.add_edge(2, 3);
-  const Graph adv = fnbp_advertised(g);
+  const AnsSets adv = fnbp_advertised(g);
   const auto r = forward_packet<BandwidthMetric>(g, adv, 0, 3);
   EXPECT_FALSE(r.delivered());
   EXPECT_EQ(r.status, ForwardingStatus::kNoRoute);
@@ -50,7 +54,7 @@ TEST(Forwarding, NoRouteAcrossComponents) {
 
 TEST(Forwarding, ValueIsEvaluatedOnTheFullGraph) {
   const Graph g = Fig1::build();
-  const Graph adv = fnbp_advertised(g);
+  const AnsSets adv = fnbp_advertised(g);
   const auto r = forward_packet<BandwidthMetric>(g, adv, Fig1::v1, Fig1::v3);
   ASSERT_TRUE(r.delivered());
   EXPECT_TRUE(metric_equal(r.value,
@@ -59,7 +63,7 @@ TEST(Forwarding, ValueIsEvaluatedOnTheFullGraph) {
 
 TEST(Forwarding, SourceRouteAgreesOnFig1) {
   const Graph g = Fig1::build();
-  const Graph adv = fnbp_advertised(g);
+  const AnsSets adv = fnbp_advertised(g);
   const auto hop = forward_packet<BandwidthMetric>(g, adv, Fig1::v1, Fig1::v3);
   const auto src =
       source_route_packet<BandwidthMetric>(g, adv, Fig1::v1, Fig1::v3);
@@ -75,19 +79,18 @@ TEST(Forwarding, AdvertisedOnlyModeUsesOwnLinksForFirstHop) {
   q.bandwidth = 4;
   g.add_edge(0, 1, q);
   g.add_edge(1, 2, q);
-  std::vector<std::vector<NodeId>> ans(3);
+  AnsSets ans(3);
   ans[1] = {2};  // only link (1,2) is advertised
-  const Graph adv = build_advertised_topology(g, ans);
   ForwardingOptions opt;
   opt.use_local_views = false;
-  const auto r = forward_packet<BandwidthMetric>(g, adv, 0, 2, opt);
+  const auto r = forward_packet<BandwidthMetric>(g, ans, 0, 2, opt);
   EXPECT_TRUE(r.delivered());
   EXPECT_EQ(r.path, (Path{0, 1, 2}));
 }
 
 TEST(Forwarding, HopCapTerminates) {
   const Graph g = Fig1::build();
-  const Graph adv = fnbp_advertised(g);
+  const AnsSets adv = fnbp_advertised(g);
   ForwardingOptions opt;
   opt.max_hops = 1;  // too small for the 4-hop widest route
   const auto r = forward_packet<BandwidthMetric>(g, adv, Fig1::v1, Fig1::v3);
@@ -104,7 +107,7 @@ TEST_P(ForwardingPropertyTest, FnbpDeliversBetweenAllConnectedPairs) {
   // Delivery + loop-freedom of hop-by-hop QoS forwarding over the FNBP
   // advertised topology, for every connected pair of a random network.
   const Graph g = testing::random_geometric_graph(GetParam(), 7.0, 280.0);
-  const Graph adv = fnbp_advertised(g);
+  const AnsSets adv = fnbp_advertised(g);
   const Components comp = connected_components(g);
   const std::size_t n = g.node_count();
   for (NodeId s = 0; s < n; ++s) {
@@ -120,7 +123,7 @@ TEST_P(ForwardingPropertyTest, FnbpDeliversBetweenAllConnectedPairs) {
 
 TEST_P(ForwardingPropertyTest, DeliveredValueNeverBeatsOptimum) {
   const Graph g = testing::random_geometric_graph(GetParam() + 13, 8.0, 280.0);
-  const Graph adv = fnbp_advertised(g);
+  const AnsSets adv = fnbp_advertised(g);
   for (NodeId s = 0; s < std::min<std::size_t>(g.node_count(), 12); ++s) {
     const DijkstraResult optimal = dijkstra<BandwidthMetric>(g, s);
     for (NodeId d = 0; d < g.node_count(); ++d) {
@@ -137,6 +140,111 @@ TEST_P(ForwardingPropertyTest, DeliveredValueNeverBeatsOptimum) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ForwardingPropertyTest,
                          ::testing::Values(9, 99, 999));
+
+// -- stale advertised state (verify_links / advertised_snapshot) ----------
+//
+// A diamond whose wide branch 0–1–3 carries every route from 0 to 3; the
+// narrow branch 0–2–3 is the detour. Every node advertises all of its
+// neighbors. After the TC refresh the link 1–3 dies: the advertised state
+// (the snapshot) still holds it, the real graph no longer does.
+struct StaleDiamond {
+  Graph snapshot{4};
+  Graph now;
+  AnsSets ans;
+
+  StaleDiamond() {
+    LinkQos wide;
+    wide.bandwidth = 9;
+    LinkQos narrow;
+    narrow.bandwidth = 2;
+    snapshot.add_edge(0, 1, wide);
+    snapshot.add_edge(1, 3, wide);
+    snapshot.add_edge(0, 2, narrow);
+    snapshot.add_edge(2, 3, narrow);
+    ans.resize(4);
+    for (NodeId u = 0; u < 4; ++u)
+      for (const Edge& e : snapshot.neighbors(u)) ans[u].push_back(e.to);
+    now = snapshot;
+    now.remove_edge(1, 3);
+  }
+
+  ForwardingOptions stale_options() const {
+    ForwardingOptions options;
+    options.verify_links = true;
+    options.advertised_snapshot = &snapshot;
+    return options;
+  }
+};
+
+TEST(StaleLinks, FreshStateRoutesTheWideBranch) {
+  const StaleDiamond net;
+  const auto r = forward_packet<BandwidthMetric>(net.snapshot, net.ans, 0, 3,
+                                                 net.stale_options());
+  ASSERT_TRUE(r.delivered());
+  EXPECT_EQ(r.path, (Path{0, 1, 3}));
+}
+
+TEST(StaleLinks, HopByHopStopsAtTheNodeHoldingThePacket) {
+  const StaleDiamond net;
+  const ForwardingOptions options = net.stale_options();
+  AdvertisedTopologyBuilder builder;
+  CsrTopology advertised;
+  builder.build_advertised(net.snapshot, net.ans, advertised);
+  ForwardingWorkspace ws;
+  for (const ForwardingResult& r :
+       {forward_packet<BandwidthMetric>(net.now, advertised, 0, 3, options,
+                                        ws),
+        forward_packet<BandwidthMetric>(net.now, net.ans, 0, 3, options)}) {
+    EXPECT_EQ(r.status, ForwardingStatus::kStaleLink);
+    EXPECT_EQ(r.path, (Path{0, 1}));
+  }
+}
+
+TEST(StaleLinks, SourceRouteTruncatesToTheLastNodeReached) {
+  const StaleDiamond net;
+  const ForwardingOptions options = net.stale_options();
+  AdvertisedTopologyBuilder builder;
+  CsrTopology advertised;
+  builder.build_advertised(net.snapshot, net.ans, advertised);
+  ForwardingWorkspace ws;
+  for (const ForwardingResult& r :
+       {source_route_packet<BandwidthMetric>(net.now, advertised, 0, 3,
+                                             options, ws),
+        source_route_packet<BandwidthMetric>(net.now, net.ans, 0, 3,
+                                             options)}) {
+    EXPECT_EQ(r.status, ForwardingStatus::kStaleLink);
+    EXPECT_EQ(r.path, (Path{0, 1}));
+  }
+}
+
+TEST(StaleLinks, AnsChainPlansOverTheDeadRelayLink) {
+  const StaleDiamond net;
+  const ForwardingOptions options = net.stale_options();
+  ForwardingWorkspace ws;
+  for (const ForwardingResult& r :
+       {forward_via_ans<BandwidthMetric>(net.now, net.ans, 0, 3, options, ws),
+        forward_via_ans<BandwidthMetric>(net.now, net.ans, 0, 3, options)}) {
+    EXPECT_EQ(r.status, ForwardingStatus::kStaleLink);
+    EXPECT_EQ(r.path, (Path{0, 1}));
+  }
+  // Planned on the current graph instead, the chain takes the detour.
+  ForwardingOptions fresh;
+  fresh.verify_links = true;
+  const auto detour =
+      forward_via_ans<BandwidthMetric>(net.now, net.ans, 0, 3, fresh, ws);
+  ASSERT_TRUE(detour.delivered());
+  EXPECT_EQ(detour.path, (Path{0, 2, 3}));
+}
+
+TEST(AdvertisedTopologyBuilder, SizeMismatchThrows) {
+  const Graph g = Fig1::build();
+  const AnsSets too_few(g.node_count() - 1);
+  AdvertisedTopologyBuilder builder;
+  CsrTopology csr;
+  EXPECT_THROW(builder.build_advertised(g, too_few, csr), std::logic_error);
+  EXPECT_THROW(forward_packet<BandwidthMetric>(g, too_few, Fig1::v1, Fig1::v3),
+               std::logic_error);
+}
 
 }  // namespace
 }  // namespace qolsr

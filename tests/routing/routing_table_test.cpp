@@ -10,46 +10,38 @@ namespace {
 
 using testing::Fig1;
 
-TEST(RoutingTable, NextHopsFollowWidestPaths) {
+TEST(NextHop, FollowsWidestPathsOnFig1) {
   const Graph g = Fig1::build();
-  const RoutingTable t = compute_routing_table<BandwidthMetric>(g, Fig1::v1);
-  EXPECT_EQ(t.self, Fig1::v1);
   // Widest v1→v3 goes over v6 (bandwidth 10 vs 6 over v2).
-  EXPECT_EQ(t.next_hop[Fig1::v3], Fig1::v6);
-  EXPECT_DOUBLE_EQ(t.value[Fig1::v3], 10.0);
+  EXPECT_EQ(compute_next_hop<BandwidthMetric>(g, Fig1::v1, Fig1::v3),
+            Fig1::v6);
   // Direct neighbors route directly when the link is on a best path.
-  EXPECT_EQ(t.next_hop[Fig1::v6], Fig1::v6);
+  EXPECT_EQ(compute_next_hop<BandwidthMetric>(g, Fig1::v1, Fig1::v6),
+            Fig1::v6);
 }
 
-TEST(RoutingTable, SelfAndUnreachable) {
+TEST(NextHop, SelfAndUnreachable) {
   Graph g(3);
   g.add_edge(0, 1);
-  const RoutingTable t = compute_routing_table<DelayMetric>(g, 0);
-  EXPECT_EQ(t.next_hop[0], kInvalidNode);
-  EXPECT_TRUE(t.reachable(0));  // trivially
-  EXPECT_TRUE(t.reachable(1));
-  EXPECT_FALSE(t.reachable(2));
+  EXPECT_EQ(compute_next_hop<DelayMetric>(g, 0, 0), kInvalidNode);
+  EXPECT_EQ(compute_next_hop<DelayMetric>(g, 0, 1), 1u);
+  EXPECT_EQ(compute_next_hop<DelayMetric>(g, 0, 2), kInvalidNode);
 }
 
-TEST(RoutingTable, NextHopIsAlwaysANeighbor) {
+TEST(NextHop, IsAlwaysANeighbor) {
   const Graph g = testing::random_geometric_graph(321, 8.0);
   for (NodeId u = 0; u < std::min<std::size_t>(g.node_count(), 20); ++u) {
-    const RoutingTable t = compute_routing_table<BandwidthMetric>(g, u);
+    const DijkstraResult reach = dijkstra<BandwidthMetric>(g, u);
     for (NodeId d = 0; d < g.node_count(); ++d) {
-      if (d == u || !t.reachable(d)) continue;
-      EXPECT_TRUE(g.has_edge(u, t.next_hop[d]))
-          << u << "→" << d << " via " << t.next_hop[d];
+      if (d == u) continue;
+      const NodeId hop = compute_next_hop<BandwidthMetric>(g, u, d);
+      if (reach.value[d] == BandwidthMetric::unreachable()) {
+        EXPECT_EQ(hop, kInvalidNode) << u << "→" << d;
+        continue;
+      }
+      EXPECT_TRUE(g.has_edge(u, hop)) << u << "→" << d << " via " << hop;
     }
   }
-}
-
-TEST(RoutingTable, ValuesMatchDijkstra) {
-  const Graph g = testing::random_geometric_graph(654, 8.0);
-  const NodeId u = 0;
-  const RoutingTable t = compute_routing_table<DelayMetric>(g, u);
-  const DijkstraResult r = dijkstra<DelayMetric>(g, u);
-  for (NodeId d = 0; d < g.node_count(); ++d)
-    EXPECT_EQ(t.value[d], r.value[d]);
 }
 
 }  // namespace

@@ -10,9 +10,9 @@
 #include <algorithm>
 
 #include "core/fnbp.hpp"
-#include "routing/advertised_topology.hpp"
 #include "support/paper_graphs.hpp"
 #include "support/random_graphs.hpp"
+#include "support/reference_routing.hpp"
 
 namespace qolsr {
 namespace {
@@ -80,7 +80,8 @@ TEST(Simulator, TcFloodPopulatesEveryTopologyBase) {
   std::vector<std::vector<NodeId>> oracle_ans(g.node_count());
   for (NodeId u = 0; u < g.node_count(); ++u)
     oracle_ans[u] = ans.select(LocalView(g, u));
-  const Graph oracle_adv = build_advertised_topology(g, oracle_ans);
+  const Graph oracle_adv =
+      reference::build_advertised_topology(g, oracle_ans);
 
   for (NodeId u = 0; u < g.node_count(); ++u) {
     const Graph known = sim.node(u).topology().to_graph(g.node_count());
