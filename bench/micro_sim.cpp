@@ -67,12 +67,12 @@ void BM_EventQueueThroughput(benchmark::State& state) {
 }
 
 // The broadcast fan-out hot point: one TC delivered to every neighbor of
-// the densest node. The Medium hands all deliveries the same immutable
-// SharedBytes buffer, so the steady-state per-delivery cost is event
-// scheduling + packet parsing + the receiver's cheap drop (handshake
-// check or duplicate-set hit) — never a per-neighbor copy of the message
-// bytes. Regressing to copy-per-neighbor shows up directly in items/sec
-// at high degree.
+// the densest node. The simulator copies the bytes once into a pooled
+// frame that every delivery shares, so the steady-state per-delivery cost
+// is one event dispatch + one shared parse + the receiver's cheap drop
+// (handshake check or duplicate-set hit) — never a per-neighbor copy of
+// the message bytes. Regressing to copy-per-neighbor shows up directly in
+// items/sec at high degree.
 void BM_BroadcastFanout(benchmark::State& state) {
   const Graph g = make_network(static_cast<double>(state.range(0)));
   NodeId hub = 0;
@@ -101,7 +101,7 @@ void BM_BroadcastFanout(benchmark::State& state) {
   header.type = MessageType::kTc;
   header.originator = hub;
   header.ttl = 1;  // receivers must not re-flood inside the measurement
-  const SharedBytes bytes = make_shared_bytes(serialize(header, tc));
+  const std::vector<std::byte> bytes = serialize(header, tc);
 
   const double drain = 2.0 * sim.config().propagation_delay;
   for (auto _ : state) {
@@ -111,7 +111,7 @@ void BM_BroadcastFanout(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(g.neighbors(hub).size()));
   state.counters["fanout"] = static_cast<double>(g.neighbors(hub).size());
-  state.counters["bytes"] = static_cast<double>(bytes->size());
+  state.counters["bytes"] = static_cast<double>(bytes.size());
 }
 
 void BM_ControlPlaneConvergence(benchmark::State& state) {
@@ -141,7 +141,8 @@ void BM_ControlPlaneConvergence(benchmark::State& state) {
 // One TC interval on an already-converged network: HELLO refreshes, TC
 // origination and MPR re-flooding continue, but no view changes — the
 // steady-state control-plane cost a long run pays per round. Reports
-// ns/event and allocations per event.
+// ns/event and allocations per event, and fails when the round allocates
+// at all once warm.
 void BM_QuiescentControlRound(benchmark::State& state) {
   const Graph g = make_network(static_cast<double>(state.range(0)));
   const Rfc3626Selector flooding;
@@ -152,21 +153,28 @@ void BM_QuiescentControlRound(benchmark::State& state) {
   Simulator sim(g, flooding, ans, routes);
   sim.run_to_convergence();
   const double round = sim.config().node.tc_interval;
-  sim.run_until(sim.now() + round);  // warm queue / duplicate-set capacity
+  // Warm the event heap, the frame pool and the duplicate sets past their
+  // 30 s hold, where expiry keeps pace with insertion.
+  sim.run_until(sim.now() + 30.0 + 2.0 * round);
 
   const std::uint64_t events_before = sim.queue().processed();
-  const std::uint64_t allocs_before = g_allocations.load();
+  std::uint64_t allocated = 0;  // inside the rounds, not the framework's
   const auto start = std::chrono::steady_clock::now();
-  for (auto _ : state) sim.run_until(sim.now() + round);
+  for (auto _ : state) {
+    const std::uint64_t allocs_before = g_allocations.load();
+    sim.run_until(sim.now() + round);
+    allocated += g_allocations.load() - allocs_before;
+  }
   const std::chrono::nanoseconds elapsed =
       std::chrono::steady_clock::now() - start;
   const auto events =
       static_cast<double>(sim.queue().processed() - events_before);
   state.counters["events"] = events / static_cast<double>(state.iterations());
   state.counters["ns_per_event"] = static_cast<double>(elapsed.count()) / events;
-  state.counters["allocs/event"] =
-      static_cast<double>(g_allocations.load() - allocs_before) / events;
+  state.counters["allocs/event"] = static_cast<double>(allocated) / events;
   state.counters["nodes"] = static_cast<double>(g.node_count());
+  if (allocated != 0)
+    state.SkipWithError("quiescent control round allocated once warm");
 }
 
 // Steady-state duplicate-set churn at a run's high-water live set: after
@@ -324,8 +332,8 @@ void BM_DuplicateSetExpireNoop(benchmark::State& state) {
 }
 
 // Steady-state data forwarding with warm caches: route memo hits, cached
-// knowledge view, workspace Dijkstra. Reports allocs/packet (serialize +
-// delivery events + journey record) and asserts the per-packet
+// knowledge view, workspace Dijkstra, pooled frames. Reports allocs/packet
+// (only the journey record allocates) and asserts the per-packet
 // to_graph/Dijkstra allocation storm stays gone. The topology is a short
 // chain rather than a dense deployment so the measurement window is packet
 // work, not amortized HELLO/TC flood noise.
@@ -368,10 +376,11 @@ void BM_SteadyStateDataForwarding(benchmark::State& state) {
   state.counters["delivered"] =
       static_cast<double>(sim.trace().data_delivered);
   state.counters["hops"] = static_cast<double>(n - 1);
-  // Generous ceiling: a handful per hop (frame copy + delivery closure +
-  // journey record). The pre-cache path paid a Graph materialization plus
-  // a full Dijkstra per hop — well over a hundred for this chain.
-  if (per_packet > 60.0)
+  // The journey record's map node and path growth (5 for an 8-node
+  // chain's 8-entry path) — nothing per hop. The pre-cache path paid a
+  // Graph materialization plus a full Dijkstra per hop, well over a
+  // hundred for this chain.
+  if (per_packet > 6.0)
     state.SkipWithError("forwarding path allocation regression");
 }
 

@@ -130,10 +130,17 @@ ResolvedProtocols resolve_protocols(const ExperimentSpec& spec,
       protocols.ans.push_back(protocols.owned.back().get());
     }
     // Backends that flood real packets (in-process or across processes)
-    // also need each protocol's TC-flooding role; the oracle does not.
+    // also need each protocol's TC-flooding role; the oracle does not. A
+    // protocol that floods on its own advertised set gets its ANS selector
+    // in both roles, so its nodes select once per recompute.
     if (spec.backend != BackendId::kOracle) {
       protocols.flooding.reserve(spec.selectors.size());
-      for (const std::string& name : spec.selectors) {
+      for (std::size_t i = 0; i < spec.selectors.size(); ++i) {
+        const std::string& name = spec.selectors[i];
+        if (registry.floods_on_ans(name)) {
+          protocols.flooding.push_back(protocols.ans[i]);
+          continue;
+        }
         protocols.owned.push_back(
             registry.create_flooding(name, spec.metric));
         protocols.flooding.push_back(protocols.owned.back().get());

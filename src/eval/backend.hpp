@@ -12,8 +12,9 @@ namespace qolsr {
 /// backend (and every worker thread — selection is const and stateless).
 /// `ans` is the column order of every emitted result; `flooding` pairs
 /// each protocol with its TC-flooding role (SelectorRegistry::
-/// create_flooding) and is resolved only for backends that flood real
-/// packets — it stays empty under the oracle.
+/// create_flooding, or the `ans` entry itself for a protocol that floods
+/// on its own advertised set) and is resolved only for backends that
+/// flood real packets — it stays empty under the oracle.
 struct ResolvedProtocols {
   std::vector<std::unique_ptr<AnsSelector>> owned;
   std::vector<const AnsSelector*> ans;

@@ -197,55 +197,16 @@ void LocalViewBuilder::build(
     const std::vector<std::vector<LocalView::NeighborLink>>& neighbor_links,
     LocalView& out) {
   assert(one_hop.size() == neighbor_links.size());
-  NodeId max_id = u;
-  for (const LocalView::NeighborLink& l : one_hop)
-    max_id = std::max(max_id, l.to);
-  for (const auto& links : neighbor_links)
-    for (const LocalView::NeighborLink& l : links)
-      max_id = std::max(max_id, l.to);
-  begin_epoch(static_cast<std::size_t>(max_id) + 1);
+  build_hello(
+      u,
+      [&](auto&& fn) {
+        for (std::size_t i = 0; i < one_hop.size(); ++i)
+          fn(one_hop[i].to, one_hop[i].qos, neighbor_links[i]);
+      },
+      [](const LocalView::NeighborLink& l) { return l.to; }, out);
+}
 
-  one_hop_globals_.clear();
-  for (const LocalView::NeighborLink& l : one_hop)
-    one_hop_globals_.push_back(l.to);
-  std::sort(one_hop_globals_.begin(), one_hop_globals_.end());
-
-  stamp_[u] = epoch_;
-  for (NodeId v : one_hop_globals_) stamp_[v] = epoch_;
-
-  two_hop_globals_.clear();
-  for (const auto& links : neighbor_links) {
-    for (const LocalView::NeighborLink& l : links) {
-      if (stamp_[l.to] == epoch_) continue;
-      stamp_[l.to] = epoch_;
-      two_hop_globals_.push_back(l.to);
-    }
-  }
-  std::sort(two_hop_globals_.begin(), two_hop_globals_.end());
-
-  index_nodes(u, out);
-  const auto n = static_cast<std::uint32_t>(out.size());
-
-  // HELLO tables may report the same link from both endpoints (or repeat an
-  // entry); the first report wins, matching incremental insertion. Collect
-  // candidates with their insertion rank, canonicalize, and keep the first
-  // per undirected pair.
-  pending_.clear();
-  std::uint32_t seq = 0;
-  for (const LocalView::NeighborLink& l : one_hop)
-    pending_.push_back(
-        {LocalView::origin_index(), local_of_[l.to], seq++, l.qos});
-  for (std::size_t i = 0; i < one_hop.size(); ++i) {
-    const std::uint32_t lv = local_of_[one_hop[i].to];
-    for (const LocalView::NeighborLink& l : neighbor_links[i]) {
-      if (l.to == u) continue;  // the (u,v) link was added above
-      const std::uint32_t lw = local_of_[l.to];
-      // A link between two 1-hop neighbors appears in both HELLO tables;
-      // keep the copy reported by the smaller-id endpoint.
-      if (out.is_one_hop(lw) && l.to < one_hop[i].to) continue;
-      pending_.push_back({lv, lw, seq++, l.qos});
-    }
-  }
+void LocalViewBuilder::finish_pending(LocalView& out) {
   for (PendingEdge& p : pending_)
     if (p.a > p.b) std::swap(p.a, p.b);
   std::sort(pending_.begin(), pending_.end(),
@@ -261,9 +222,9 @@ void LocalViewBuilder::build(
   pending_.erase(last, pending_.end());
 
   fill_rows(
-      n,
+      static_cast<std::uint32_t>(out.size()),
       [&](auto&& emit) {
-        for (const PendingEdge& p : pending_) emit(p.a, p.b, p.qos);
+        for (const PendingEdge& p : pending_) emit(p.a, p.b, *p.qos);
       },
       out);
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -130,6 +131,18 @@ class LocalViewBuilder {
                  neighbor_links,
              LocalView& out);
 
+  /// The HELLO-table form over any neighbor store, so a protocol table
+  /// builds straight from its own entries with no intermediate vectors.
+  /// `visit(fn)` must call fn(id, qos, links) once per symmetric neighbor,
+  /// in the same order on every call: `id` and `qos` are the neighbor and
+  /// the link to it, `links` a range of the links it advertises, each of
+  /// which `link_to(l)` maps to its far endpoint and `l.qos` carries the
+  /// QoS of. `visit` is called several times per build, and the QoS it
+  /// hands out must be references into storage that outlives the build.
+  template <typename Visit, typename LinkTo>
+  void build_hello(NodeId u, const Visit& visit, const LinkTo& link_to,
+                   LocalView& out);
+
  private:
   /// Grows the dense scratch to cover global ids < `max_global` and starts
   /// a fresh epoch.
@@ -143,6 +156,9 @@ class LocalViewBuilder {
   template <typename ForEachEdge>
   void fill_rows(std::uint32_t n, const ForEachEdge& for_each_edge,
                  LocalView& out);
+  /// The HELLO path's tail: canonicalizes pending_, keeps the first report
+  /// of each undirected pair, and fills the CSR rows.
+  void finish_pending(LocalView& out);
 
   // Dense per-global-id scratch, valid while stamp_[id] == epoch_.
   std::vector<std::uint32_t> stamp_;
@@ -156,9 +172,66 @@ class LocalViewBuilder {
   struct PendingEdge {
     std::uint32_t a, b;   ///< local endpoints
     std::uint32_t seq;    ///< insertion order (first report wins)
-    LinkQos qos;
+    const LinkQos* qos;   ///< into the source tables, alive for the build
   };
   std::vector<PendingEdge> pending_;  ///< HELLO path: pre-dedup edge list
 };
+
+template <typename Visit, typename LinkTo>
+void LocalViewBuilder::build_hello(NodeId u, const Visit& visit,
+                                   const LinkTo& link_to, LocalView& out) {
+  NodeId max_id = u;
+  visit([&](NodeId id, const LinkQos&, const auto& links) {
+    max_id = std::max(max_id, id);
+    for (const auto& l : links) max_id = std::max(max_id, link_to(l));
+  });
+  begin_epoch(static_cast<std::size_t>(max_id) + 1);
+
+  one_hop_globals_.clear();
+  visit([&](NodeId id, const LinkQos&, const auto&) {
+    one_hop_globals_.push_back(id);
+  });
+  std::sort(one_hop_globals_.begin(), one_hop_globals_.end());
+
+  stamp_[u] = epoch_;
+  for (NodeId v : one_hop_globals_) stamp_[v] = epoch_;
+
+  two_hop_globals_.clear();
+  visit([&](NodeId, const LinkQos&, const auto& links) {
+    for (const auto& l : links) {
+      const NodeId w = link_to(l);
+      if (stamp_[w] == epoch_) continue;
+      stamp_[w] = epoch_;
+      two_hop_globals_.push_back(w);
+    }
+  });
+  std::sort(two_hop_globals_.begin(), two_hop_globals_.end());
+
+  index_nodes(u, out);
+
+  // HELLO tables may report the same link from both endpoints (or repeat an
+  // entry); the first report wins, matching incremental insertion. Collect
+  // candidates with their insertion rank: first every (u, v) link, then
+  // each neighbor's advertised links in visiting order.
+  pending_.clear();
+  std::uint32_t seq = 0;
+  visit([&](NodeId id, const LinkQos& qos, const auto&) {
+    pending_.push_back(
+        {LocalView::origin_index(), local_of_[id], seq++, &qos});
+  });
+  visit([&](NodeId id, const LinkQos&, const auto& links) {
+    const std::uint32_t lv = local_of_[id];
+    for (const auto& l : links) {
+      const NodeId w = link_to(l);
+      if (w == u) continue;  // the (u,v) link was added above
+      const std::uint32_t lw = local_of_[w];
+      // A link between two 1-hop neighbors appears in both HELLO tables;
+      // keep the copy reported by the smaller-id endpoint.
+      if (out.is_one_hop(lw) && w < id) continue;
+      pending_.push_back({lv, lw, seq++, &l.qos});
+    }
+  });
+  finish_pending(out);
+}
 
 }  // namespace qolsr

@@ -32,11 +32,12 @@ double monotonic_now() {
 
 /// The wall-clock side of the Scheduler seam: the Medium a daemon's
 /// OlsrNode runs against. `now()` is seconds since construction on the
-/// monotonic clock; `schedule_in` arms a timer in the daemon's min-heap
-/// (served between socket polls); broadcast/unicast wrap the serialized
-/// OLSR packet in a wire frame and hand it to the switch. The protocol
-/// code is byte-identical to what the Simulator runs — only the clock and
-/// the transport changed underneath it.
+/// monotonic clock; `arm` puts a {due, seq, timer} entry on the daemon's
+/// min-heap (served between socket polls); broadcast/unicast write the
+/// serialized OLSR packet straight into one reused wire datagram and hand
+/// it to the switch. The protocol code is byte-identical to what the
+/// Simulator runs — only the clock and the transport changed underneath
+/// it.
 class WireMedium final : public Medium {
  public:
   WireMedium(Fd& sock, const NodeSetup& setup)
@@ -47,16 +48,17 @@ class WireMedium final : public Medium {
 
   SimTime now() const override { return monotonic_now() - start_; }
 
-  void schedule_in(SimTime delay, std::function<void()> callback) override {
-    timers_.push({now() + delay, next_seq_++, std::move(callback)});
+  void arm(SimTime delay, NodeTimer timer, NodeId) override {
+    timers_.push({now() + delay, next_seq_++, timer});
   }
 
-  void broadcast(NodeId from, SharedBytes bytes) override {
-    send_packet(from, kBroadcastDest, *bytes);
+  void broadcast(NodeId from, std::span<const std::byte> bytes) override {
+    send_packet(from, kBroadcastDest, bytes);
   }
 
-  void unicast(NodeId from, NodeId to, SharedBytes bytes) override {
-    send_packet(from, to, *bytes);
+  void unicast(NodeId from, NodeId to,
+               std::span<const std::byte> bytes) override {
+    send_packet(from, to, bytes);
   }
 
   const LinkQos* measured_qos(NodeId a, NodeId b) const override {
@@ -75,14 +77,14 @@ class WireMedium final : public Medium {
     return timers_.top().due - now();
   }
 
-  /// Fires every timer that is due. One pass: a callback that re-arms
-  /// itself (every protocol tick does) runs again only on a later pass.
-  void fire_due() {
+  /// Fires every timer of `node` that is due. One pass: a timer that
+  /// re-arms itself (every protocol tick does) runs again only on a later
+  /// pass.
+  void fire_due(OlsrNode& node) {
     while (!timers_.empty() && timers_.top().due <= now()) {
-      // Move the callback out before popping: the pop invalidates the ref.
-      auto cb = std::move(const_cast<Timer&>(timers_.top()).callback);
+      const NodeTimer timer = timers_.top().timer;
       timers_.pop();
-      cb();
+      node.on_timer(timer);
     }
   }
 
@@ -90,21 +92,16 @@ class WireMedium final : public Medium {
   struct Timer {
     double due = 0.0;
     std::uint64_t seq = 0;  ///< FIFO among equal deadlines
-    std::function<void()> callback;
+    NodeTimer timer = NodeTimer::kHello;
     bool operator>(const Timer& other) const {
       return due != other.due ? due > other.due : seq > other.seq;
     }
   };
 
   void send_packet(NodeId from, NodeId dest,
-                   const std::vector<std::byte>& payload) {
-    Frame f;
-    f.kind = kKindPacket;
-    f.sender = from;
-    f.dest = dest;
-    f.timestamp = now();
-    f.payload = payload;
-    send_datagram(sock_, encode_frame(f));
+                   std::span<const std::byte> payload) {
+    encode_frame_into(datagram_, kKindPacket, from, dest, now(), payload);
+    send_datagram(sock_, datagram_);
   }
 
   Fd& sock_;
@@ -113,6 +110,7 @@ class WireMedium final : public Medium {
   std::map<NodeId, LinkQos> neighbor_qos_;
   std::priority_queue<Timer, std::vector<Timer>, std::greater<>> timers_;
   std::uint64_t next_seq_ = 0;
+  std::vector<std::byte> datagram_;  ///< reused transmit buffer
 };
 
 void send_control(Fd& sock, NodeId self, NodeId dest,
@@ -160,8 +158,14 @@ int run_node_daemon(const std::string& path, NodeId id) {
   if (!registry.contains(setup.protocol)) return 1;
   const auto metric = static_cast<MetricId>(setup.metric);
   const auto ans_selector = registry.create(setup.protocol, metric);
-  const auto flooding_selector =
-      registry.create_flooding(setup.protocol, metric);
+  // A protocol that floods on its own advertised set shares one selector
+  // object between the roles, so the node selects once per recompute.
+  const auto own_flooding =
+      registry.floods_on_ans(setup.protocol)
+          ? nullptr
+          : registry.create_flooding(setup.protocol, metric);
+  const AnsSelector* const flooding_selector =
+      own_flooding != nullptr ? own_flooding.get() : ans_selector.get();
 
   NodeConfig config;
   static_cast<ProtocolTiming&>(config) = setup.timing;
@@ -189,8 +193,9 @@ int run_node_daemon(const std::string& path, NodeId id) {
   // effectively-blocking semantics via send_datagram's POLLOUT wait.
   set_nonblocking(sock);
   std::vector<std::byte> datagram;
+  ParsedPacket packet;
   for (;;) {
-    medium.fire_due();
+    medium.fire_due(node);
     int timeout_ms = -1;
     if (const auto wait = medium.until_next_timer()) {
       timeout_ms = *wait <= 0.0
@@ -210,7 +215,10 @@ int run_node_daemon(const std::string& path, NodeId id) {
       if (!frame.has_value()) continue;
 
       if (frame->kind == kKindPacket) {
-        node.on_receive(frame->sender, frame->payload);
+        node.on_packet(frame->sender,
+                       parse_packet_into(frame->payload, packet) ? &packet
+                                                                 : nullptr,
+                       frame->payload);
         continue;
       }
       if (frame->kind != kKindControl) continue;

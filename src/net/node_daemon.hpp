@@ -10,8 +10,8 @@ namespace qolsr::net {
 /// at `path`, registers as plug `id`, waits for the harness's Configure /
 /// Start control frames, then runs the *unmodified* OlsrNode state machine
 /// (src/sim/olsr_node) against a wall-clock Medium — `now()` is seconds
-/// since the daemon started, `schedule_in` arms a real timer served by the
-/// poll loop, and broadcast/unicast emit wire frames through the switch.
+/// since the daemon started, `arm` sets a real timer served by the poll
+/// loop, and broadcast/unicast emit wire frames through the switch.
 /// The protocol code cannot tell it left the simulator; that is the
 /// Transport seam's whole point.
 ///

@@ -27,8 +27,8 @@ double monotonic_now() {
 }
 
 /// A forwarded copy shares the original datagram bytes — forwarding never
-/// re-encodes (the frame is immutable in flight), mirroring SharedBytes in
-/// the in-process Medium.
+/// re-encodes (the frame is immutable in flight), mirroring the pooled
+/// frames the in-process Simulator shares across a fan-out.
 using RawFrame = std::shared_ptr<const std::vector<std::byte>>;
 
 struct PortState {

@@ -42,18 +42,26 @@ bool read_string(Reader& r, std::string& s) {
 
 }  // namespace
 
-std::vector<std::byte> encode_frame(const Frame& frame) {
-  std::vector<std::byte> out;
-  out.reserve(kFrameHeaderBytes + frame.payload.size());
+void encode_frame_into(std::vector<std::byte>& out, std::uint8_t kind,
+                       NodeId sender, NodeId dest, double timestamp,
+                       std::span<const std::byte> payload) {
+  out.clear();
+  out.reserve(kFrameHeaderBytes + payload.size());
   Writer w(out);
   w.u8(kFrameMagic);
   w.u8(kFrameVersion);
-  w.u8(frame.kind);
-  w.u32(frame.sender);
-  w.u32(frame.dest);
-  w.f64(frame.timestamp);
-  w.u16(static_cast<std::uint16_t>(frame.payload.size()));
-  out.insert(out.end(), frame.payload.begin(), frame.payload.end());
+  w.u8(kind);
+  w.u32(sender);
+  w.u32(dest);
+  w.f64(timestamp);
+  w.u16(static_cast<std::uint16_t>(payload.size()));
+  out.insert(out.end(), payload.begin(), payload.end());
+}
+
+std::vector<std::byte> encode_frame(const Frame& frame) {
+  std::vector<std::byte> out;
+  encode_frame_into(out, frame.kind, frame.sender, frame.dest,
+                    frame.timestamp, frame.payload);
   return out;
 }
 

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,6 +50,13 @@ inline constexpr NodeId kSwitchDest = kInvalidNode - 2;    ///< for the switch i
 inline constexpr NodeId kControllerId = kInvalidNode - 3;  ///< the harness plug
 
 std::vector<std::byte> encode_frame(const Frame& frame);
+
+/// Encodes one frame into `out` (resized, capacity kept) straight from the
+/// caller's payload bytes — the daemon's transmit path, which sends every
+/// packet from one reused datagram buffer.
+void encode_frame_into(std::vector<std::byte>& out, std::uint8_t kind,
+                       NodeId sender, NodeId dest, double timestamp,
+                       std::span<const std::byte> payload);
 
 /// Hardened decode: nullopt on bad magic/version/kind, truncation, or a
 /// length prefix that disagrees with the datagram size.

@@ -7,16 +7,21 @@
 namespace qolsr {
 
 void SelectorRegistry::add(std::string name, Factory factory,
-                           Factory flooding_factory) {
+                           Flooding flooding) {
   if (contains(name))
     throw std::invalid_argument("SelectorRegistry: duplicate selector name '" +
                                 name + "'");
-  entries_.push_back(
-      {std::move(name), std::move(factory), std::move(flooding_factory)});
+  entries_.push_back({std::move(name), std::move(factory), flooding});
 }
 
 bool SelectorRegistry::contains(std::string_view name) const {
   return find(name) != nullptr;
+}
+
+bool SelectorRegistry::floods_on_ans(std::string_view name) const {
+  const Entry* entry = find(name);
+  if (entry == nullptr) throw_unknown(name);
+  return entry->flooding == Flooding::kOwnSelection;
 }
 
 const SelectorRegistry::Entry* SelectorRegistry::find(
@@ -44,7 +49,7 @@ std::unique_ptr<AnsSelector> SelectorRegistry::create_flooding(
     std::string_view name, MetricId metric) const {
   const Entry* entry = find(name);
   if (entry == nullptr) throw_unknown(name);
-  if (entry->flooding_factory) return entry->flooding_factory(metric);
+  if (entry->flooding == Flooding::kOwnSelection) return entry->factory(metric);
   // Split designs advertise a filtered set but flood with plain RFC MPRs.
   return std::make_unique<Rfc3626Selector>();
 }
@@ -78,10 +83,10 @@ const SelectorRegistry& SelectorRegistry::builtin() {
       });
     };
     // OLSR and QOLSR flood on the very set they advertise; the split QANS
-    // designs (default flooding factory) keep RFC MPR flooding.
-    r.add("olsr_mpr", rfc3626, rfc3626);
-    r.add("qolsr_mpr1", qolsr1, qolsr1);
-    r.add("qolsr_mpr2", qolsr2, qolsr2);
+    // designs (default flooding role) keep RFC MPR flooding.
+    r.add("olsr_mpr", rfc3626, Flooding::kOwnSelection);
+    r.add("qolsr_mpr1", qolsr1, Flooding::kOwnSelection);
+    r.add("qolsr_mpr2", qolsr2, Flooding::kOwnSelection);
     r.add("topology_filtering", [](MetricId metric) {
       return dispatch_metric(metric,
                              [](auto tag) -> std::unique_ptr<AnsSelector> {

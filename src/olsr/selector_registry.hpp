@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -21,17 +22,24 @@ class SelectorRegistry {
   using Factory =
       std::function<std::unique_ptr<AnsSelector>(MetricId metric)>;
 
+  /// The TC-flooding role a protocol pairs with its advertised-set
+  /// heuristic in the packet-level backends: protocols that flood on their
+  /// own selection (original OLSR, QOLSR) use kOwnSelection; the split QANS
+  /// designs keep RFC 3626 MPR flooding (paper §II–III: topology filtering
+  /// and FNBP only change *what is advertised*, not how TCs spread).
+  enum class Flooding : std::uint8_t { kRfcMpr, kOwnSelection };
+
   /// Registers a factory under `name`. Throws std::invalid_argument on a
   /// duplicate name (silent replacement would reorder result columns).
-  /// `flooding_factory` names the TC-flooding role the protocol pairs with
-  /// its advertised-set heuristic in the packet-level backend: protocols
-  /// that flood on their own selection (original OLSR, QOLSR) pass their
-  /// own factory; the split QANS designs leave it empty and get RFC 3626
-  /// MPR flooding (paper §II–III: topology filtering and FNBP only change
-  /// *what is advertised*, not how TCs spread).
-  void add(std::string name, Factory factory, Factory flooding_factory = {});
+  void add(std::string name, Factory factory,
+           Flooding flooding = Flooding::kRfcMpr);
 
   bool contains(std::string_view name) const;
+
+  /// Whether the named protocol floods on its own advertised set — then a
+  /// caller may use the one ANS selector object for both roles, and a node
+  /// selects once per recompute. Same error contract as `create`.
+  bool floods_on_ans(std::string_view name) const;
 
   /// Instantiates the named heuristic for `metric`. Throws
   /// std::invalid_argument listing the known names when `name` is unknown.
@@ -39,7 +47,7 @@ class SelectorRegistry {
                                       MetricId metric) const;
 
   /// Instantiates the TC-flooding-role selector paired with the named
-  /// protocol (see `add`). Same error contract as `create`.
+  /// protocol (see Flooding). Same error contract as `create`.
   std::unique_ptr<AnsSelector> create_flooding(std::string_view name,
                                                MetricId metric) const;
 
@@ -54,7 +62,7 @@ class SelectorRegistry {
   struct Entry {
     std::string name;
     Factory factory;
-    Factory flooding_factory;  ///< empty = RFC 3626 MPR flooding
+    Flooding flooding;
   };
   const Entry* find(std::string_view name) const;
   [[noreturn]] void throw_unknown(std::string_view name) const;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "graph/local_view.hpp"
@@ -23,6 +24,10 @@ namespace qolsr {
 struct FirstHopTable {
   std::vector<double> best;
   std::vector<std::vector<std::uint32_t>> fp;
+  /// Lists parked by a shrink to a smaller view and handed back by the next
+  /// growth, so a table reused across views of varying size keeps every
+  /// list's capacity instead of freeing and reallocating it.
+  std::vector<std::vector<std::uint32_t>> spare;
 
   bool reachable(std::uint32_t v) const { return !fp[v].empty(); }
 };
@@ -54,7 +59,18 @@ void compute_first_hops(const LocalView& view, DijkstraWorkspace& ws,
                         FirstHopTable& out) {
   const auto n = static_cast<std::uint32_t>(view.size());
   out.best.assign(n, M::unreachable());
-  if (out.fp.size() != n) out.fp.resize(n);
+  while (out.fp.size() > n) {
+    out.spare.push_back(std::move(out.fp.back()));
+    out.fp.pop_back();
+  }
+  while (out.fp.size() < n) {
+    if (out.spare.empty()) {
+      out.fp.emplace_back();
+    } else {
+      out.fp.push_back(std::move(out.spare.back()));
+      out.spare.pop_back();
+    }
+  }
   for (auto& list : out.fp) list.clear();
   if (n == 0) return;
   out.best[LocalView::origin_index()] = M::identity();

@@ -1,6 +1,7 @@
 #include "proto/messages.hpp"
 
 #include <cmath>
+#include <stdexcept>
 
 #include "proto/wire_endian.hpp"
 
@@ -8,43 +9,58 @@ namespace qolsr {
 
 namespace {
 
-// The codec is pinned little-endian via the shared wire::Writer/Reader
-// helpers (proto/wire_endian.hpp) — the same pair the net/ datagram
-// framing uses, so a socket wire run exchanges exactly the bytes the
-// in-process simulation serializes.
-using wire::Reader;
-using wire::Writer;
+// The codec is pinned little-endian via the shared helpers of
+// proto/wire_endian.hpp — the ones the net/ datagram framing uses too, so
+// a socket wire run exchanges exactly the bytes the in-process simulation
+// serializes. Frames are written into a pre-sized buffer with bulk
+// little-endian stores and read back with bounds checked once per field
+// group, never per byte.
+using wire::load_f64;
+using wire::load_le;
+using wire::store_f64;
+using wire::store_le;
 
-void write_header(Writer& w, const PacketHeader& h) {
-  w.u8(static_cast<std::uint8_t>(h.type));
-  w.u32(h.originator);
-  w.u16(h.sequence);
-  w.u8(h.ttl);
-  w.u8(h.hop_count);
+constexpr std::size_t kHeaderBytes = 1 + 4 + 2 + 1 + 1;
+constexpr std::size_t kAdvertBytes = 4 + 1 + 6 * 8;
+constexpr std::size_t kHelloFixedBytes = 4 + 1 + 2;
+constexpr std::size_t kTcFixedBytes = 4 + 2 + 2;
+constexpr std::size_t kDataBodyBytes = 4 + 4 + 4;
+
+std::byte* write_header(std::byte* p, const PacketHeader& h) {
+  p = store_le(p, static_cast<std::uint8_t>(h.type));
+  p = store_le(p, h.originator);
+  p = store_le(p, h.sequence);
+  p = store_le(p, h.ttl);
+  return store_le(p, h.hop_count);
 }
 
-bool read_header(Reader& r, PacketHeader& h) {
-  std::uint8_t type = 0;
-  if (!r.u8(type) || !r.u32(h.originator) || !r.u16(h.sequence) ||
-      !r.u8(h.ttl) || !r.u8(h.hop_count))
-    return false;
+bool read_header(const std::byte* p, PacketHeader& h) {
+  const auto type = load_le<std::uint8_t>(p);
   if (type != static_cast<std::uint8_t>(MessageType::kHello) &&
       type != static_cast<std::uint8_t>(MessageType::kTc) &&
       type != static_cast<std::uint8_t>(MessageType::kData))
     return false;
   h.type = static_cast<MessageType>(type);
+  h.originator = load_le<std::uint32_t>(p + 1);
+  h.sequence = load_le<std::uint16_t>(p + 5);
+  h.ttl = load_le<std::uint8_t>(p + 7);
+  h.hop_count = load_le<std::uint8_t>(p + 8);
   return true;
 }
 
-void write_advert(Writer& w, const LinkAdvert& a) {
-  w.u32(a.neighbor);
-  w.u8(static_cast<std::uint8_t>(a.status));
-  w.f64(a.qos.bandwidth);
-  w.f64(a.qos.delay);
-  w.f64(a.qos.jitter);
-  w.f64(a.qos.loss_cost);
-  w.f64(a.qos.energy);
-  w.f64(a.qos.buffers);
+std::byte* write_adverts(std::byte* p, const std::vector<LinkAdvert>& links) {
+  p = store_le(p, static_cast<std::uint16_t>(links.size()));
+  for (const LinkAdvert& a : links) {
+    p = store_le(p, a.neighbor);
+    p = store_le(p, static_cast<std::uint8_t>(a.status));
+    p = store_f64(p, a.qos.bandwidth);
+    p = store_f64(p, a.qos.delay);
+    p = store_f64(p, a.qos.jitter);
+    p = store_f64(p, a.qos.loss_cost);
+    p = store_f64(p, a.qos.energy);
+    p = store_f64(p, a.qos.buffers);
+  }
+  return p;
 }
 
 /// Every QoS quantity on the wire is a nonnegative finite measurement; a
@@ -52,122 +68,155 @@ void write_advert(Writer& w, const LinkAdvert& a) {
 /// not reach the metric algebra.
 bool valid_qos(double v) { return std::isfinite(v) && v >= 0.0; }
 
-bool read_advert(Reader& r, LinkAdvert& a) {
-  std::uint8_t status = 0;
-  if (!r.u32(a.neighbor) || !r.u8(status) || !r.f64(a.qos.bandwidth) ||
-      !r.f64(a.qos.delay) || !r.f64(a.qos.jitter) ||
-      !r.f64(a.qos.loss_cost) || !r.f64(a.qos.energy) ||
-      !r.f64(a.qos.buffers))
-    return false;
-  if (status < static_cast<std::uint8_t>(LinkStatus::kAsymmetric) ||
-      status > static_cast<std::uint8_t>(LinkStatus::kMpr))
-    return false;
-  if (!valid_qos(a.qos.bandwidth) || !valid_qos(a.qos.delay) ||
-      !valid_qos(a.qos.jitter) || !valid_qos(a.qos.loss_cost) ||
-      !valid_qos(a.qos.energy) || !valid_qos(a.qos.buffers))
-    return false;
-  a.status = static_cast<LinkStatus>(status);
+/// Reads `links.size()` adverts from `p`, which holds exactly that many.
+bool read_adverts(const std::byte* p, std::vector<LinkAdvert>& links) {
+  for (LinkAdvert& a : links) {
+    const auto status = load_le<std::uint8_t>(p + 4);
+    if (status < static_cast<std::uint8_t>(LinkStatus::kAsymmetric) ||
+        status > static_cast<std::uint8_t>(LinkStatus::kMpr))
+      return false;
+    a.neighbor = load_le<std::uint32_t>(p);
+    a.status = static_cast<LinkStatus>(status);
+    a.qos.bandwidth = load_f64(p + 5);
+    a.qos.delay = load_f64(p + 13);
+    a.qos.jitter = load_f64(p + 21);
+    a.qos.loss_cost = load_f64(p + 29);
+    a.qos.energy = load_f64(p + 37);
+    a.qos.buffers = load_f64(p + 45);
+    if (!valid_qos(a.qos.bandwidth) || !valid_qos(a.qos.delay) ||
+        !valid_qos(a.qos.jitter) || !valid_qos(a.qos.loss_cost) ||
+        !valid_qos(a.qos.energy) || !valid_qos(a.qos.buffers))
+      return false;
+    p += kAdvertBytes;
+  }
   return true;
 }
 
-constexpr std::size_t kHeaderBytes = 1 + 4 + 2 + 1 + 1;
-constexpr std::size_t kAdvertBytes = 4 + 1 + 6 * 8;
+/// Sizes `links` from a frame's advert count once the payload is known to
+/// hold exactly that many adverts — a hostile count field must not size a
+/// vector the payload cannot back, and trailing garbage is rejected here
+/// instead of after count adverts of work.
+bool size_adverts(const std::byte* count_at, std::size_t payload_bytes,
+                  std::vector<LinkAdvert>& links) {
+  const auto count = load_le<std::uint16_t>(count_at);
+  if (payload_bytes != count * kAdvertBytes) return false;
+  links.resize(count);
+  return true;
+}
 
 }  // namespace
+
+void serialize_into(std::vector<std::byte>& out, const PacketHeader& header,
+                    const HelloMessage& hello) {
+  out.resize(kHeaderBytes + kHelloFixedBytes +
+             hello.links.size() * kAdvertBytes);
+  std::byte* p = write_header(out.data(), header);
+  p = store_le(p, hello.originator);
+  p = store_le(p, hello.willingness);
+  write_adverts(p, hello.links);
+}
+
+void serialize_into(std::vector<std::byte>& out, const PacketHeader& header,
+                    const TcMessage& tc) {
+  out.resize(tc_wire_size(tc.advertised.size()));
+  std::byte* p = write_header(out.data(), header);
+  p = store_le(p, tc.originator);
+  p = store_le(p, tc.ansn);
+  write_adverts(p, tc.advertised);
+}
+
+void serialize_into(std::vector<std::byte>& out, const PacketHeader& header,
+                    const DataMessage& data) {
+  out.resize(kHeaderBytes + kDataBodyBytes);
+  std::byte* p = write_header(out.data(), header);
+  p = store_le(p, data.source);
+  p = store_le(p, data.destination);
+  store_le(p, data.payload_id);
+}
 
 std::vector<std::byte> serialize(const PacketHeader& header,
                                  const HelloMessage& hello) {
   std::vector<std::byte> out;
-  out.reserve(kHeaderBytes + 5 + 2 + hello.links.size() * kAdvertBytes);
-  Writer w(out);
-  write_header(w, header);
-  w.u32(hello.originator);
-  w.u8(hello.willingness);
-  w.u16(static_cast<std::uint16_t>(hello.links.size()));
-  for (const LinkAdvert& a : hello.links) write_advert(w, a);
+  serialize_into(out, header, hello);
   return out;
 }
 
 std::vector<std::byte> serialize(const PacketHeader& header,
                                  const TcMessage& tc) {
   std::vector<std::byte> out;
-  out.reserve(tc_wire_size(tc.advertised.size()));
-  Writer w(out);
-  write_header(w, header);
-  w.u32(tc.originator);
-  w.u16(tc.ansn);
-  w.u16(static_cast<std::uint16_t>(tc.advertised.size()));
-  for (const LinkAdvert& a : tc.advertised) write_advert(w, a);
+  serialize_into(out, header, tc);
   return out;
 }
 
 std::vector<std::byte> serialize(const PacketHeader& header,
                                  const DataMessage& data) {
   std::vector<std::byte> out;
-  out.reserve(kHeaderBytes + 12);
-  Writer w(out);
-  write_header(w, header);
-  w.u32(data.source);
-  w.u32(data.destination);
-  w.u32(data.payload_id);
+  serialize_into(out, header, data);
   return out;
 }
 
-std::optional<ParsedPacket> parse_packet(const std::vector<std::byte>& bytes) {
-  Reader r(bytes);
-  ParsedPacket packet;
-  if (!read_header(r, packet.header)) return std::nullopt;
-  switch (packet.header.type) {
+bool parse_packet_into(std::span<const std::byte> bytes, ParsedPacket& out) {
+  out.hello.reset();
+  out.tc.reset();
+  out.data.reset();
+  if (bytes.size() < kHeaderBytes || !read_header(bytes.data(), out.header))
+    return false;
+  const std::byte* body = bytes.data() + kHeaderBytes;
+  const std::size_t body_bytes = bytes.size() - kHeaderBytes;
+  switch (out.header.type) {
     case MessageType::kHello: {
-      HelloMessage hello;
-      std::uint16_t count = 0;
-      if (!r.u32(hello.originator) || !r.u8(hello.willingness) ||
-          !r.u16(count))
-        return std::nullopt;
-      // Length check before allocation: a hostile count field must not
-      // size a vector the payload cannot back (and trailing garbage is
-      // rejected here instead of after count adverts of work).
-      if (r.remaining() != count * kAdvertBytes) return std::nullopt;
-      hello.links.resize(count);
-      for (LinkAdvert& a : hello.links)
-        if (!read_advert(r, a)) return std::nullopt;
-      if (!r.done()) return std::nullopt;
-      packet.hello = std::move(hello);
-      return packet;
+      if (body_bytes < kHelloFixedBytes) return false;
+      HelloMessage& hello = out.hello.engage();
+      if (!size_adverts(body + 5, body_bytes - kHelloFixedBytes,
+                        hello.links) ||
+          !read_adverts(body + kHelloFixedBytes, hello.links)) {
+        out.hello.reset();
+        return false;
+      }
+      hello.originator = load_le<std::uint32_t>(body);
+      hello.willingness = load_le<std::uint8_t>(body + 4);
+      return true;
     }
     case MessageType::kTc: {
-      TcMessage tc;
-      std::uint16_t count = 0;
-      if (!r.u32(tc.originator) || !r.u16(tc.ansn) || !r.u16(count))
-        return std::nullopt;
-      if (r.remaining() != count * kAdvertBytes) return std::nullopt;
-      tc.advertised.resize(count);
-      for (LinkAdvert& a : tc.advertised)
-        if (!read_advert(r, a)) return std::nullopt;
-      if (!r.done()) return std::nullopt;
-      packet.tc = std::move(tc);
-      return packet;
+      if (body_bytes < kTcFixedBytes) return false;
+      TcMessage& tc = out.tc.engage();
+      if (!size_adverts(body + 6, body_bytes - kTcFixedBytes,
+                        tc.advertised) ||
+          !read_adverts(body + kTcFixedBytes, tc.advertised)) {
+        out.tc.reset();
+        return false;
+      }
+      tc.originator = load_le<std::uint32_t>(body);
+      tc.ansn = load_le<std::uint16_t>(body + 4);
+      return true;
     }
     case MessageType::kData: {
-      DataMessage data;
-      if (!r.u32(data.source) || !r.u32(data.destination) ||
-          !r.u32(data.payload_id))
-        return std::nullopt;
-      if (!r.done()) return std::nullopt;
-      packet.data = data;
-      return packet;
+      if (body_bytes != kDataBodyBytes) return false;
+      DataMessage& data = out.data.engage();
+      data.source = load_le<std::uint32_t>(body);
+      data.destination = load_le<std::uint32_t>(body + 4);
+      data.payload_id = load_le<std::uint32_t>(body + 8);
+      return true;
     }
   }
-  return std::nullopt;
+  return false;
 }
 
-void patch_forwarding_header(std::vector<std::byte>& frame, std::uint8_t ttl,
+std::optional<ParsedPacket> parse_packet(const std::vector<std::byte>& bytes) {
+  ParsedPacket packet;
+  if (!parse_packet_into(bytes, packet)) return std::nullopt;
+  return packet;
+}
+
+void patch_forwarding_header(std::span<std::byte> frame, std::uint8_t ttl,
                              std::uint8_t hop_count) {
   // Header layout (write_header): type u8, originator u32, sequence u16,
   // then ttl u8 and hop_count u8.
   constexpr std::size_t kTtlOffset = 1 + 4 + 2;
-  frame.at(kTtlOffset) = static_cast<std::byte>(ttl);
-  frame.at(kTtlOffset + 1) = static_cast<std::byte>(hop_count);
+  if (frame.size() < kHeaderBytes)
+    throw std::out_of_range("patch_forwarding_header: frame too short");
+  frame[kTtlOffset] = static_cast<std::byte>(ttl);
+  frame[kTtlOffset + 1] = static_cast<std::byte>(hop_count);
 }
 
 std::size_t tc_wire_size(std::size_t ans_size) {
@@ -177,22 +226,19 @@ std::size_t tc_wire_size(std::size_t ans_size) {
 namespace {
 /// Serialized data frame: header + source u32 + destination u32 +
 /// payload_id u32. The payload id therefore sits at a fixed offset.
-constexpr std::size_t kDataFrameBytes = kHeaderBytes + 12;
+constexpr std::size_t kDataFrameBytes = kHeaderBytes + kDataBodyBytes;
 constexpr std::size_t kPayloadIdOffset = kHeaderBytes + 8;
 }  // namespace
 
-bool is_data_frame(const std::vector<std::byte>& bytes) {
+bool is_data_frame(std::span<const std::byte> bytes) {
   return bytes.size() == kDataFrameBytes &&
          static_cast<std::uint8_t>(bytes[0]) ==
              static_cast<std::uint8_t>(MessageType::kData);
 }
 
-std::uint32_t peek_data_payload_id(const std::vector<std::byte>& bytes) {
+std::uint32_t peek_data_payload_id(std::span<const std::byte> bytes) {
   if (!is_data_frame(bytes)) return 0;
-  std::uint32_t id = 0;
-  for (std::size_t i = 0; i < 4; ++i)
-    id |= static_cast<std::uint32_t>(bytes[kPayloadIdOffset + i]) << (8 * i);
-  return id;
+  return load_le<std::uint32_t>(bytes.data() + kPayloadIdOffset);
 }
 
 }  // namespace qolsr

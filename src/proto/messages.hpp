@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "graph/node_id.hpp"
@@ -88,15 +89,58 @@ std::vector<std::byte> serialize(const PacketHeader& header,
 std::vector<std::byte> serialize(const PacketHeader& header,
                                  const DataMessage& data);
 
-struct ParsedPacket {
-  PacketHeader header;
-  std::optional<HelloMessage> hello;
-  std::optional<TcMessage> tc;
-  std::optional<DataMessage> data;
+/// The same encodings written into a caller-owned buffer (resized to the
+/// frame, capacity kept): the protocol stack serializes every HELLO, TC
+/// and data packet into one reused transmit buffer instead of a fresh
+/// vector per frame.
+void serialize_into(std::vector<std::byte>& out, const PacketHeader& header,
+                    const HelloMessage& hello);
+void serialize_into(std::vector<std::byte>& out, const PacketHeader& header,
+                    const TcMessage& tc);
+void serialize_into(std::vector<std::byte>& out, const PacketHeader& header,
+                    const DataMessage& data);
+
+/// An optional that keeps its value's storage while disengaged: a parse
+/// target reused across frames of different types keeps every advert
+/// buffer's capacity, so steady-state parsing allocates nothing. Reads
+/// like std::optional (has_value, *, ->); only a parse engages it.
+template <typename T>
+class Retained {
+ public:
+  bool has_value() const { return engaged_; }
+  const T& operator*() const { return value_; }
+  const T* operator->() const { return &value_; }
+
+  /// Engages the slot and hands out the held value for overwriting; its
+  /// fields keep whatever the previous engagement left there.
+  T& engage() {
+    engaged_ = true;
+    return value_;
+  }
+  void reset() { engaged_ = false; }
+
+ private:
+  T value_{};
+  bool engaged_ = false;
 };
 
-/// Parses a packet produced by `serialize`. Returns nullopt on truncated or
-/// malformed input (never reads out of bounds).
+/// A parsed frame: the header plus exactly one engaged message, the one
+/// `header.type` names.
+struct ParsedPacket {
+  PacketHeader header;
+  Retained<HelloMessage> hello;
+  Retained<TcMessage> tc;
+  Retained<DataMessage> data;
+};
+
+/// Parses a packet produced by `serialize` into reused storage. Returns
+/// false on truncated or malformed input (never reads out of bounds); on
+/// success exactly the message `out.header.type` names is engaged and
+/// every one of its fields was written by this parse.
+bool parse_packet_into(std::span<const std::byte> bytes, ParsedPacket& out);
+
+/// Allocating form of parse_packet_into: nullopt on truncated or
+/// malformed input.
 std::optional<ParsedPacket> parse_packet(const std::vector<std::byte>& bytes);
 
 /// Rewrites the TTL and hop count of a serialized frame in place — the
@@ -104,7 +148,7 @@ std::optional<ParsedPacket> parse_packet(const std::vector<std::byte>& bytes);
 /// result equals serialize() of the parsed message under the patched
 /// header byte for byte (the codec round-trips every field, including the
 /// IEEE bits of each QoS double). `frame` must hold at least a header.
-void patch_forwarding_header(std::vector<std::byte>& frame, std::uint8_t ttl,
+void patch_forwarding_header(std::span<std::byte> frame, std::uint8_t ttl,
                              std::uint8_t hop_count);
 
 /// Wire size in bytes of a TC advertising `ans_size` links — used to report
@@ -116,7 +160,7 @@ std::size_t tc_wire_size(std::size_t ans_size);
 /// classify and attribute frames without paying a full parse per queued
 /// delivery). Both tolerate arbitrary byte strings: a frame that is not a
 /// well-formed data packet is simply "not data" / payload id 0.
-bool is_data_frame(const std::vector<std::byte>& bytes);
-std::uint32_t peek_data_payload_id(const std::vector<std::byte>& bytes);
+bool is_data_frame(std::span<const std::byte> bytes);
+std::uint32_t peek_data_payload_id(std::span<const std::byte> bytes);
 
 }  // namespace qolsr

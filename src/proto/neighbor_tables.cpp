@@ -14,6 +14,13 @@ bool same_bits(const LinkQos& a, const LinkQos& b) {
   static_assert(sizeof(LinkQos) == 6 * sizeof(double), "no padding bytes");
   return std::memcmp(&a, &b, sizeof(LinkQos)) == 0;
 }
+
+/// The same advert, bit for bit: neighbor, status and QoS.
+bool same_advert(const LinkAdvert& a, const LinkAdvert& b) {
+  return a.neighbor == b.neighbor && a.status == b.status &&
+         same_bits(a.qos, b.qos);
+}
+
 }  // namespace
 
 NeighborTables::Outcome NeighborTables::on_hello(const HelloMessage& hello,
@@ -27,37 +34,53 @@ NeighborTables::Outcome NeighborTables::on_hello(const HelloMessage& hello,
   const LinkQos old_qos = entry.qos;
   entry.qos = qos;
   entry.asym_until = now + hold_time_;
-  // Two-way handshake: the link is symmetric iff the sender lists us.
-  entry.selected_us_mpr = false;
+  // One pass over the HELLO: the two-way handshake (the link is symmetric
+  // iff the sender lists us) and a compare of the sender's usable adverts
+  // against the held table. A converged neighbor repeats its table
+  // exactly, so the steady-state reception writes nothing back.
   bool lists_us = false;
-  for (const LinkAdvert& a : hello.links) {
-    if (a.neighbor != self_) continue;
-    lists_us = true;
-    if (a.status == LinkStatus::kMpr) entry.selected_us_mpr = true;
-  }
-  if (lists_us) entry.sym_until = now + hold_time_;
-  // The sender's full (symmetric) link table gives us the 2-hop view.
-  // Rewritten in place so the comparison against the held sequence costs
-  // no allocation: the view reads (neighbor, qos) only, so a status flip
-  // between kSymmetric and kMpr is not an advert change.
-  bool adverts_changed = false;
+  bool mpr = false;
+  bool same = true;
   std::size_t kept = 0;
   for (const LinkAdvert& a : hello.links) {
-    if (a.status == LinkStatus::kAsymmetric) continue;  // not yet usable
-    if (kept < entry.advertised.size()) {
-      LinkAdvert& held = entry.advertised[kept];
-      if (held.neighbor != a.neighbor || !same_bits(held.qos, a.qos))
-        adverts_changed = true;
-      held = a;
-    } else {
-      entry.advertised.push_back(a);
-      adverts_changed = true;
+    if (a.neighbor == self_) {
+      lists_us = true;
+      if (a.status == LinkStatus::kMpr) mpr = true;
     }
+    if (a.status == LinkStatus::kAsymmetric) continue;  // not yet usable
+    same = same && kept < entry.advertised.size() &&
+           same_advert(entry.advertised[kept], a);
     ++kept;
   }
-  if (kept != entry.advertised.size()) {
-    entry.advertised.resize(kept);
-    adverts_changed = true;
+  entry.selected_us_mpr = mpr;
+  if (lists_us) entry.sym_until = now + hold_time_;
+  // The sender's full (symmetric) link table gives us the 2-hop view. On a
+  // difference it is rewritten in place, noting whether the (neighbor,
+  // qos) sequence the view reads changed: a status flip between
+  // kSymmetric and kMpr is not an advert change.
+  bool adverts_changed = false;
+  if (!same || kept != entry.advertised.size()) {
+    // Sized to the table exactly: a converged neighbor's table keeps its
+    // size, so doubling slack would only pad every held entry.
+    if (entry.advertised.capacity() < kept) entry.advertised.reserve(kept);
+    kept = 0;
+    for (const LinkAdvert& a : hello.links) {
+      if (a.status == LinkStatus::kAsymmetric) continue;
+      if (kept < entry.advertised.size()) {
+        LinkAdvert& held = entry.advertised[kept];
+        if (held.neighbor != a.neighbor || !same_bits(held.qos, a.qos))
+          adverts_changed = true;
+        held = a;
+      } else {
+        entry.advertised.push_back(a);
+        adverts_changed = true;
+      }
+      ++kept;
+    }
+    if (kept != entry.advertised.size()) {
+      entry.advertised.resize(kept);
+      adverts_changed = true;
+    }
   }
   const bool is_sym = entry.sym_until >= 0.0;
   Outcome out;
@@ -218,6 +241,18 @@ LocalView NeighborTables::build_local_view() const {
     neighbor_links.push_back(std::move(advertised));
   }
   return LocalView(self_, one_hop, neighbor_links);
+}
+
+void NeighborTables::build_local_view_into(LocalViewBuilder& builder,
+                                           LocalView& out) const {
+  builder.build_hello(
+      self_,
+      [this](auto&& fn) {
+        for (std::size_t i = 0; i < live_; ++i)
+          if (links_[i].sym_until >= 0.0)
+            fn(links_[i].id, links_[i].qos, links_[i].advertised);
+      },
+      [](const LinkAdvert& a) { return a.neighbor; }, out);
 }
 
 }  // namespace qolsr

@@ -102,6 +102,14 @@ class NeighborTables {
   /// ascending id — what a HELLO must list for the two-way handshake.
   std::vector<NodeId> heard_neighbors() const;
 
+  /// Visits every live link entry as (id, qos, symmetric), ascending id —
+  /// the allocation-free walk a HELLO is built from.
+  template <typename Fn>
+  void for_each_heard(Fn&& fn) const {
+    for (std::size_t i = 0; i < live_; ++i)
+      fn(links_[i].id, links_[i].qos, links_[i].sym_until >= 0.0);
+  }
+
   /// True when `neighbor` advertises us as its MPR — i.e. we must forward
   /// its floods (and it belongs to our MPR-selector set).
   bool selected_us_as_mpr(NodeId neighbor) const;
@@ -117,8 +125,15 @@ class NeighborTables {
   std::vector<NodeId> mpr_selectors() const;
 
   /// Builds the local view G_self from the HELLO state: our symmetric
-  /// links plus every symmetric neighbor's advertised links.
+  /// links plus every symmetric neighbor's advertised links. This form
+  /// goes through intermediate neighbor-link vectors, independently of
+  /// build_local_view_into — the reference the selection cache is checked
+  /// against.
   LocalView build_local_view() const;
+
+  /// The same view built straight from the link entries into `out` with
+  /// `builder`'s scratch: allocation-free once both are warm.
+  void build_local_view_into(LocalViewBuilder& builder, LocalView& out) const;
 
  private:
   struct LinkEntry {

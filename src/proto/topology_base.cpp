@@ -1,6 +1,7 @@
 #include "proto/topology_base.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 
 #include "util/digest.hpp"
@@ -16,6 +17,20 @@ bool same_links(const std::vector<LinkAdvert>& a,
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i)
     if (a[i].neighbor != b[i].neighbor) return false;
+  return true;
+}
+
+/// Bit-identical advert sequence (neighbor, status and QoS bits): a TC
+/// that repeats the held advertisement exactly — every periodic refresh
+/// of a converged originator — changes nothing but the hold time.
+bool identical(const std::vector<LinkAdvert>& a,
+               const std::vector<LinkAdvert>& b) {
+  static_assert(sizeof(LinkQos) == 6 * sizeof(double), "no padding bytes");
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (a[i].neighbor != b[i].neighbor || a[i].status != b[i].status ||
+        std::memcmp(&a[i].qos, &b[i].qos, sizeof(LinkQos)) != 0)
+      return false;
   return true;
 }
 
@@ -56,10 +71,17 @@ TopologyBase::TcOutcome TopologyBase::apply_tc(const TcMessage& tc,
     // held advertisement regardless of validity; the routing view is
     // validity-aware, so a held-but-expired entry contributed nothing and
     // any non-empty refresh revives it.
+    const bool revived = entry.expires < now && !tc.advertised.empty();
+    if (identical(entry.advertised, tc.advertised)) {
+      out.view_changed = revived;
+      entry.ansn = tc.ansn;
+      entry.expires = now + hold_time_;
+      return out;
+    }
     out.links_changed = !same_links(entry.advertised, tc.advertised);
-    out.view_changed = entry.expires < now
-                           ? !tc.advertised.empty()
-                           : !same_view(entry.advertised, tc.advertised);
+    out.view_changed =
+        entry.expires < now ? revived
+                            : !same_view(entry.advertised, tc.advertised);
   }
   entry.ansn = tc.ansn;
   entry.expires = now + hold_time_;

@@ -20,6 +20,33 @@ namespace qolsr::wire {
 /// codec change that silently reorders bytes fails a golden, not a
 /// cross-host interop run.
 
+/// Little-endian store of an unsigned integer at `p`; returns the byte
+/// past it. The shifts spell out the byte order, and compilers fold them
+/// into one plain store on little-endian hosts — the bulk form the codec
+/// writes whole adverts with into a pre-sized buffer.
+template <typename U>
+std::byte* store_le(std::byte* p, U v) {
+  for (std::size_t i = 0; i < sizeof(U); ++i)
+    p[i] = static_cast<std::byte>(v >> (8 * i));
+  return p + sizeof(U);
+}
+inline std::byte* store_f64(std::byte* p, double v) {
+  return store_le(p, std::bit_cast<std::uint64_t>(v));
+}
+
+/// Little-endian load of an unsigned integer from `p` (the caller has
+/// checked that sizeof(U) bytes are there).
+template <typename U>
+U load_le(const std::byte* p) {
+  U v = 0;
+  for (std::size_t i = 0; i < sizeof(U); ++i)
+    v |= static_cast<U>(static_cast<U>(p[i]) << (8 * i));
+  return v;
+}
+inline double load_f64(const std::byte* p) {
+  return std::bit_cast<double>(load_le<std::uint64_t>(p));
+}
+
 /// Little-endian byte writer (appends to a caller-owned buffer).
 class Writer {
  public:

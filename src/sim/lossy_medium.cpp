@@ -71,12 +71,15 @@ bool LossyMedium::lost(NodeId from, NodeId to) {
   return rate >= 1.0 || rng_.uniform01() < rate;
 }
 
-SharedBytes LossyMedium::maybe_corrupt(const SharedBytes& bytes) {
-  if (bytes->empty() || corrupt_rng_.uniform01() >= corrupt_rate_)
-    return bytes;
-  // The shared buffer may still be in flight to other receivers — corrupt
+FramePool::Id LossyMedium::maybe_corrupt(FramePool::Id frame) {
+  FramePool& frames = sim_->frames();
+  if (frames.bytes(frame).empty() ||
+      corrupt_rng_.uniform01() >= corrupt_rate_)
+    return frame;
+  // The shared frame may still be in flight to other receivers — corrupt
   // a private copy, never the original.
-  std::vector<std::byte> flipped(*bytes);
+  const FramePool::Id copy = frames.acquire(frames.bytes(frame));
+  const std::span<std::byte> flipped = frames.mutable_bytes(copy);
   const std::size_t bit_count = flipped.size() * 8;
   const std::uint64_t flips = 1 + corrupt_rng_.uniform_int(3);
   for (std::uint64_t f = 0; f < flips; ++f) {
@@ -84,21 +87,22 @@ SharedBytes LossyMedium::maybe_corrupt(const SharedBytes& bytes) {
     flipped[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
   }
   trace_->frames_corrupted += 1;
-  if (is_data_frame(*bytes)) {
+  const std::span<const std::byte> original = frames.bytes(frame);
+  if (is_data_frame(original)) {
     // Charge the journey from the pre-flip payload id (the flip may have
     // landed in that very field). Only read when the probe never arrives.
-    const auto it = trace_->journeys.find(peek_data_payload_id(*bytes));
+    const auto it = trace_->journeys.find(peek_data_payload_id(original));
     if (it != trace_->journeys.end() &&
         it->second.drop == TraceStats::Journey::Drop::kNone)
       it->second.drop = TraceStats::Journey::Drop::kMalformed;
   }
-  return make_shared_bytes(std::move(flipped));
+  return copy;
 }
 
 SimTime LossyMedium::now() const { return sim_->queue().now(); }
 
-void LossyMedium::schedule_in(SimTime delay, std::function<void()> callback) {
-  sim_->queue().schedule_in(delay, std::move(callback));
+void LossyMedium::arm(SimTime delay, NodeTimer timer, NodeId node) {
+  sim_->arm(delay, timer, node);
 }
 
 const LinkQos* LossyMedium::measured_qos(NodeId a, NodeId b) const {
@@ -112,12 +116,21 @@ std::size_t LossyMedium::node_count() const {
   return sim_->network().node_count();
 }
 
-void LossyMedium::broadcast(NodeId from, SharedBytes bytes) {
+void LossyMedium::broadcast(NodeId from, std::span<const std::byte> bytes) {
   // The fan-out iterates ground-truth neighbors in sorted order whether or
   // not faults are active, so the gate draws (and the event sequence) are
   // deterministic — and with no fault source active the loop is exactly
   // the ideal medium's.
+  FramePool& frames = sim_->frames();
+  const FramePool::Id frame = frames.acquire(bytes);
   const bool clean = !impaired();
+  if (clean && corrupt_rate_ <= 0.0 && !sim_->contention_active()) {
+    // Every neighbor receives: the fan-out reads them from the network
+    // at dispatch, so no receiver list is built at all.
+    sim_->deliver_fanout(from, frame);
+    frames.release(frame);
+    return;
+  }
   scratch_receivers_.clear();
   for (const Edge& e : sim_->network().neighbors(from)) {
     if (!clean) {
@@ -140,30 +153,34 @@ void LossyMedium::broadcast(NodeId from, SharedBytes bytes) {
     // instead of reverting every broadcast to one event per neighbor.
     scratch_clean_.clear();
     for (const NodeId to : scratch_receivers_) {
-      SharedBytes leg = maybe_corrupt(bytes);
-      if (leg == bytes && !sim_->contention_active()) {
+      const FramePool::Id leg = maybe_corrupt(frame);
+      if (leg == frame && !sim_->contention_active()) {
         scratch_clean_.push_back(to);
       } else {
-        sim_->deliver(from, to, std::move(leg));
+        sim_->deliver(from, to, leg);
       }
+      if (leg != frame) frames.release(leg);
     }
-    if (!scratch_clean_.empty())
-      sim_->deliver_fanout(from, scratch_clean_, std::move(bytes));
-    return;
-  }
-  if (sim_->contention_active()) {
+    if (!scratch_clean_.empty()) {
+      frames.set_receivers(frame, scratch_clean_);
+      sim_->deliver_fanout(from, frame);
+    }
+  } else if (sim_->contention_active()) {
     // Per-leg delivery: each leg pays its own queueing delay (or drop).
-    for (const NodeId to : scratch_receivers_) sim_->deliver(from, to, bytes);
+    for (const NodeId to : scratch_receivers_) sim_->deliver(from, to, frame);
   } else {
     // All surviving legs share one delivery time, so the whole fan-out is
     // batched into a single event — equivalent ordering (the per-leg
     // events would hold contiguous sequence numbers at the same time) at
     // a fraction of the scheduling cost.
-    sim_->deliver_fanout(from, scratch_receivers_, std::move(bytes));
+    frames.set_receivers(frame, scratch_receivers_);
+    sim_->deliver_fanout(from, frame);
   }
+  frames.release(frame);
 }
 
-void LossyMedium::unicast(NodeId from, NodeId to, SharedBytes bytes) {
+void LossyMedium::unicast(NodeId from, NodeId to,
+                          std::span<const std::byte> bytes) {
   if (!sim_->network().has_edge(from, to)) return;  // out of range: lost
   if (impaired()) {
     if (blocked(from, to)) {
@@ -175,8 +192,13 @@ void LossyMedium::unicast(NodeId from, NodeId to, SharedBytes bytes) {
       return;
     }
   }
-  if (corrupt_rate_ > 0.0) bytes = maybe_corrupt(bytes);
-  sim_->deliver(from, to, std::move(bytes));
+  FramePool& frames = sim_->frames();
+  const FramePool::Id frame = frames.acquire(bytes);
+  const FramePool::Id leg =
+      corrupt_rate_ > 0.0 ? maybe_corrupt(frame) : frame;
+  sim_->deliver(from, to, leg);
+  if (leg != frame) frames.release(leg);
+  frames.release(frame);
 }
 
 }  // namespace qolsr

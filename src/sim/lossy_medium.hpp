@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "sim/fault_plan.hpp"
+#include "sim/frame_pool.hpp"
 #include "sim/medium.hpp"
 #include "sim/trace.hpp"
 #include "util/rng.hpp"
@@ -26,7 +27,8 @@ class Simulator;
 ///   2. Bernoulli loss: the frame is dropped with the link's loss rate
 ///      (FaultPlan per-link override, else the global rate), drawn from a
 ///      dedicated RNG seeded per run (trace.frames_lost);
-///   3. otherwise it is handed to Simulator::deliver unchanged.
+///   3. otherwise it is handed to Simulator::deliver unchanged (or, on
+///      the uncontended path, batched into one Simulator::deliver_fanout).
 ///
 /// The overlay never mutates the ground-truth Graph — that is what lets
 /// the Simulator borrow it const — and when no fault source is active the
@@ -69,9 +71,10 @@ class LossyMedium final : public Medium {
 
   // ---- Medium (what the protocol nodes see) -----------------------------
   SimTime now() const override;
-  void schedule_in(SimTime delay, std::function<void()> callback) override;
-  void broadcast(NodeId from, SharedBytes bytes) override;
-  void unicast(NodeId from, NodeId to, SharedBytes bytes) override;
+  void arm(SimTime delay, NodeTimer timer, NodeId node) override;
+  void broadcast(NodeId from, std::span<const std::byte> bytes) override;
+  void unicast(NodeId from, NodeId to,
+               std::span<const std::byte> bytes) override;
   const LinkQos* measured_qos(NodeId a, NodeId b) const override;
   std::size_t node_count() const override;
 
@@ -84,13 +87,14 @@ class LossyMedium final : public Medium {
   /// Draws the Bernoulli loss gate for one delivery. Zero-rate links draw
   /// nothing, so overlay-only faults (fail_link, crash) stay RNG-silent.
   bool lost(NodeId from, NodeId to);
-  /// Draws the wire-corruption gate for one surviving delivery: with
-  /// probability `corrupt_rate_` returns a copy of the frame with 1-3
-  /// seeded bit flips (the receiver still gets it — its hardened parser
-  /// decides the fate), else the shared buffer unchanged. Data frames are
-  /// fate-marked kMalformed from the *pre-flip* payload id, so a corrupted
-  /// probe that dies is charged to corruption, not the medium.
-  SharedBytes maybe_corrupt(const SharedBytes& bytes);
+  /// Draws the wire-corruption gate for one surviving delivery of pooled
+  /// `frame`: with probability `corrupt_rate_` returns a new frame (one
+  /// hold, the caller's) holding a copy with 1-3 seeded bit flips — the
+  /// receiver still gets it; its hardened parser decides the fate — else
+  /// `frame` itself. Data frames are fate-marked kMalformed from the
+  /// *pre-flip* payload id, so a corrupted probe that dies is charged to
+  /// corruption, not the medium.
+  FramePool::Id maybe_corrupt(FramePool::Id frame);
 
   Simulator* sim_;
   TraceStats* trace_;
@@ -104,9 +108,9 @@ class LossyMedium final : public Medium {
   std::unordered_set<std::uint64_t> down_links_;
   std::unordered_map<std::uint64_t, double> link_loss_;
   int partitions_ = 0;
-  /// Surviving broadcast receivers, reused across calls (fan-out batching
-  /// hands one receiver list to Simulator::deliver_fanout instead of
-  /// scheduling one event per leg).
+  /// Surviving broadcast receivers, reused across calls (an impaired
+  /// fan-out hands this subset to its frame instead of scheduling one
+  /// event per leg).
   std::vector<NodeId> scratch_receivers_;
   /// Uncorrupted subset of a corrupt-gated fan-out (same reuse rationale).
   std::vector<NodeId> scratch_clean_;

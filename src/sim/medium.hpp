@@ -1,44 +1,34 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
-#include <memory>
-#include <vector>
+#include <span>
 
 #include "graph/node_id.hpp"
 #include "metrics/link_qos.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/scheduler.hpp"
 
 namespace qolsr {
 
-/// One immutable wire-format packet, shared by every delivery it fans out
-/// to: a broadcast to 35 neighbors schedules 35 deliveries of the *same*
-/// buffer instead of 35 byte-vector copies. The const element type makes
-/// the sharing safe by construction — no receiver can mutate a buffer
-/// another delivery still reads.
-using SharedBytes = std::shared_ptr<const std::vector<std::byte>>;
-
-/// Seals a freshly serialized packet into the shared immutable form.
-inline SharedBytes make_shared_bytes(std::vector<std::byte> bytes) {
-  return std::make_shared<const std::vector<std::byte>>(std::move(bytes));
-}
-
-/// What a protocol node sees of the outside world: a clock + scheduler
-/// (the Scheduler seam — virtual time in the Simulator, wall-clock time in
-/// the wire daemon) and an ideal MAC (paper §IV-A: "no interferences and
-/// no packet collisions"). Implemented by the Simulator and by the net/
-/// wire transport; mocked in unit tests.
+/// What a protocol node sees of the outside world: a clock + timers (the
+/// Scheduler seam — virtual time in the Simulator, wall-clock time in the
+/// wire daemon) and an ideal MAC (paper §IV-A: "no interferences and no
+/// packet collisions"). Implemented by the Simulator and by the net/ wire
+/// transport; mocked in unit tests.
+///
+/// Frames are handed over as the caller's bytes, valid only for the call:
+/// the Simulator copies them into a pooled frame shared by every delivery
+/// of the transmission, the daemon writes them straight into its datagram.
+/// So a node may serialize every frame into one reused buffer.
 class Medium : public Scheduler {
  public:
   /// Delivers `bytes` to every node within radio range of `from` after the
-  /// propagation delay. Loss-free and collision-free; all deliveries share
-  /// the one immutable buffer.
-  virtual void broadcast(NodeId from, SharedBytes bytes) = 0;
+  /// propagation delay. Loss-free and collision-free.
+  virtual void broadcast(NodeId from, std::span<const std::byte> bytes) = 0;
 
   /// Delivers to one in-range neighbor (data forwarding). Packets to
   /// out-of-range nodes vanish (counted by the caller as drops).
-  virtual void unicast(NodeId from, NodeId to, SharedBytes bytes) = 0;
+  virtual void unicast(NodeId from, NodeId to,
+                       std::span<const std::byte> bytes) = 0;
 
   /// Ground-truth measured QoS of the link (a,b); nullptr when out of
   /// range. Link-quality measurement is outside the paper's scope, so the

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "graph/local_view.hpp"
+#include "olsr/selection_workspace.hpp"
 #include "routing/advertised_topology.hpp"
 #include "util/digest.hpp"
 #include "util/log.hpp"
@@ -51,6 +53,31 @@ bool in_deployment(const ParsedPacket& packet, std::size_t n) {
     return false;
   return true;
 }
+
+/// Serialize and selection scratch shared by every node an event loop on
+/// this thread drives — all the nodes of a Simulator (and of every
+/// Simulator the thread runs after it), or a daemon's one node. A node
+/// touches it only inside one of its own handlers and no two handlers run
+/// at once, so per-node copies would only multiply the heap; and a
+/// thread's scratch outlives the short-lived simulators an eval worker
+/// builds (the wire backend's twin is one per protocol), so their views
+/// and selection workspaces are sized once, not once per simulator.
+struct NodeScratch {
+  std::vector<std::byte> tx;      ///< every frame a node transmits
+  HelloMessage hello;             ///< HELLO under construction
+  TcMessage tc;                   ///< TC under construction
+  LocalViewBuilder view_builder;  ///< recompute_selection's view build
+  LocalView view;
+  SelectionWorkspace selection;
+  std::vector<NodeId> flooding;  ///< fresh selections, before the compare
+  std::vector<NodeId> ans;
+};
+
+NodeScratch& scratch() {
+  thread_local NodeScratch shared;
+  return shared;
+}
+
 }  // namespace
 
 OlsrNode::OlsrNode(NodeId id, Medium& medium, TraceStats& trace,
@@ -134,32 +161,42 @@ void OlsrNode::note_mutation() {
 }
 
 void OlsrNode::start() {
-  medium_.schedule_in(rng_.uniform(0.0, config_.jitter),
-                      [this] { hello_tick(); });
+  medium_.arm(rng_.uniform(0.0, config_.jitter), NodeTimer::kHello, id_);
   // TCs start after one HELLO round so there is a neighborhood to advertise.
-  medium_.schedule_in(config_.hello_interval +
-                          rng_.uniform(0.0, config_.jitter),
-                      [this] { tc_tick(); });
+  medium_.arm(config_.hello_interval + rng_.uniform(0.0, config_.jitter),
+              NodeTimer::kTc, id_);
 }
 
-std::vector<LinkAdvert> OlsrNode::build_hello_links() const {
-  std::vector<LinkAdvert> links;
+void OlsrNode::on_timer(NodeTimer timer) {
+  switch (timer) {
+    case NodeTimer::kHello:
+      hello_tick();
+      return;
+    case NodeTimer::kTc:
+      tc_tick();
+      return;
+    case NodeTimer::kTopologyPurge:
+      topology_purge_tick();
+      return;
+  }
+}
+
+void OlsrNode::build_hello_links(std::vector<LinkAdvert>& links) const {
+  links.clear();
   // Every heard neighbor is listed: asymmetric entries complete the two-way
   // handshake, symmetric ones carry the QoS table that builds neighbors'
   // 2-hop views, and MPR status tells them to forward our floods.
-  for (NodeId neighbor : tables_.heard_neighbors()) {
-    const LinkQos* qos = tables_.link_qos(neighbor);
-    if (qos == nullptr) continue;
-    LinkStatus status = LinkStatus::kAsymmetric;
-    if (tables_.is_symmetric(neighbor)) {
-      status = std::binary_search(flooding_mpr_.begin(), flooding_mpr_.end(),
-                                  neighbor)
-                   ? LinkStatus::kMpr
-                   : LinkStatus::kSymmetric;
-    }
-    links.push_back({neighbor, status, *qos});
-  }
-  return links;
+  tables_.for_each_heard(
+      [this, &links](NodeId neighbor, const LinkQos& qos, bool symmetric) {
+        LinkStatus status = LinkStatus::kAsymmetric;
+        if (symmetric) {
+          status = std::binary_search(flooding_mpr_.begin(),
+                                      flooding_mpr_.end(), neighbor)
+                       ? LinkStatus::kMpr
+                       : LinkStatus::kSymmetric;
+        }
+        links.push_back({neighbor, status, qos});
+      });
 }
 
 void OlsrNode::recompute_selection() {
@@ -169,15 +206,24 @@ void OlsrNode::recompute_selection() {
   // either), and the recompute is skipped.
   if (selected_epoch_ == tables_.view_epoch()) return;
   selected_epoch_ = tables_.view_epoch();
-  const LocalView view = tables_.build_local_view();
-  std::vector<NodeId> flooding = flooding_selector_->select(view);
-  std::vector<NodeId> ans = ans_selector_->select(view);
+  NodeScratch& s = scratch();
+  tables_.build_local_view_into(s.view_builder, s.view);
+  std::vector<NodeId>& flooding = s.flooding;
+  std::vector<NodeId>& ans = s.ans;
+  flooding_selector_->select_into(s.view, s.selection, flooding);
+  // A protocol that floods on its own advertised set selects once.
+  if (ans_selector_ == flooding_selector_) {
+    ans = flooding;
+  } else {
+    ans_selector_->select_into(s.view, s.selection, ans);
+  }
   // Selection output is digest-visible state: report a change the instant
   // it is computed. (It does not touch the knowledge cache — that view is
   // the TC topology plus own symmetric links, independent of MPR/ANS.)
-  if (flooding != flooding_mpr_ || ans != ans_) note_mutation();
-  flooding_mpr_ = std::move(flooding);
-  ans_ = std::move(ans);
+  if (flooding == flooding_mpr_ && ans == ans_) return;
+  note_mutation();
+  flooding_mpr_ = flooding;
+  ans_ = ans;
   if (ans_ != last_advertised_) {
     ++ansn_;
     last_advertised_ = ans_;
@@ -194,30 +240,28 @@ void OlsrNode::hello_tick() {
     if (lapsed.view_changed) knowledge_valid_ = false;
     recompute_selection();
 
-    HelloMessage hello;
-    hello.originator = id_;
-    hello.links = build_hello_links();
+    NodeScratch& s = scratch();
+    s.hello.originator = id_;
+    build_hello_links(s.hello.links);
     PacketHeader header;
     header.type = MessageType::kHello;
     header.originator = id_;
     header.sequence = next_sequence_++;
     header.ttl = 1;  // HELLOs are never forwarded
-    auto bytes = make_shared_bytes(serialize(header, hello));
+    serialize_into(s.tx, header, s.hello);
     trace_.hello_sent += 1;
-    trace_.control_bytes += bytes->size();
-    medium_.broadcast(id_, std::move(bytes));
+    trace_.control_bytes += s.tx.size();
+    medium_.broadcast(id_, s.tx);
   }
 
-  medium_.schedule_in(config_.hello_interval +
-                          rng_.uniform(0.0, config_.jitter),
-                      [this] { hello_tick(); });
+  medium_.arm(config_.hello_interval + rng_.uniform(0.0, config_.jitter),
+              NodeTimer::kHello, id_);
 }
 
 void OlsrNode::tc_tick() {
   if (!alive_) {
-    medium_.schedule_in(config_.tc_interval +
-                            rng_.uniform(0.0, config_.jitter),
-                        [this] { tc_tick(); });
+    medium_.arm(config_.tc_interval + rng_.uniform(0.0, config_.jitter),
+                NodeTimer::kTc, id_);
     return;
   }
   const double now = medium_.now();
@@ -232,9 +276,11 @@ void OlsrNode::tc_tick() {
 
   // A liar always has something to advertise — its fabrications.
   if (!ans_.empty() || role_ == AdversaryKind::kLiar) {
-    TcMessage tc;
+    NodeScratch& s = scratch();
+    TcMessage& tc = s.tc;
     tc.originator = id_;
     tc.ansn = ansn_;
+    tc.advertised.clear();
     for (NodeId neighbor : ans_) {
       const LinkQos* qos = tables_.link_qos(neighbor);
       if (qos == nullptr) continue;
@@ -254,16 +300,16 @@ void OlsrNode::tc_tick() {
     // Record our own flood so re-broadcasts that echo back are dropped.
     duplicates_.check_and_insert(id_, header.sequence, now);
     if (monitor_ != nullptr) monitor_->record_tc_emission(id_, tc.ansn, now);
-    auto bytes = make_shared_bytes(serialize(header, tc));
+    serialize_into(s.tx, header, tc);
     trace_.tc_originated += 1;
-    trace_.control_bytes += bytes->size();
-    medium_.broadcast(id_, std::move(bytes));
+    trace_.control_bytes += s.tx.size();
+    medium_.broadcast(id_, s.tx);
   }
   if (role_ == AdversaryKind::kReplayer && captured_valid_)
     replay_captured_tc();
 
-  medium_.schedule_in(config_.tc_interval + rng_.uniform(0.0, config_.jitter),
-                      [this] { tc_tick(); });
+  medium_.arm(config_.tc_interval + rng_.uniform(0.0, config_.jitter),
+              NodeTimer::kTc, id_);
 }
 
 void OlsrNode::lie_in_tc(TcMessage& tc) {
@@ -308,22 +354,18 @@ void OlsrNode::replay_captured_tc() {
   if (monitor_ != nullptr)
     monitor_->record_tc_emission(captured_tc_.originator, captured_tc_.ansn,
                                  now);
-  auto bytes = make_shared_bytes(serialize(header, captured_tc_));
-  trace_.control_bytes += bytes->size();
-  medium_.broadcast(id_, std::move(bytes));
+  std::vector<std::byte>& tx = scratch().tx;
+  serialize_into(tx, header, captured_tc_);
+  trace_.control_bytes += tx.size();
+  medium_.broadcast(id_, tx);
 }
 
-void OlsrNode::on_receive(NodeId from, const std::vector<std::byte>& bytes) {
-  on_packet(from, parse_packet(bytes), bytes);
-}
-
-void OlsrNode::on_packet(NodeId from, const std::optional<ParsedPacket>& packet,
-                         const std::vector<std::byte>& bytes) {
+void OlsrNode::on_packet(NodeId from, const ParsedPacket* packet,
+                         std::span<const std::byte> bytes) {
   // A frame scheduled before we crashed can still land afterwards (the
   // propagation delay); a dead node hears nothing.
   if (!alive_) return;
-  if (!packet.has_value() ||
-      !in_deployment(*packet, medium_.node_count())) {
+  if (packet == nullptr || !in_deployment(*packet, medium_.node_count())) {
     // Expected noise under an active corruption gate — counted, not
     // warned about (a warn per mangled frame would drown real logs).
     trace_.frames_malformed += 1;
@@ -353,7 +395,7 @@ void OlsrNode::handle_hello(const HelloMessage& hello, NodeId from) {
 }
 
 void OlsrNode::handle_tc(const PacketHeader& header, const TcMessage& tc,
-                         const std::vector<std::byte>& bytes, NodeId from) {
+                         std::span<const std::byte> bytes, NodeId from) {
   const double now = medium_.now();
   // Only process floods arriving over a symmetric link (RFC 3626 §9.5).
   if (!tables_.is_symmetric(from)) return;
@@ -396,13 +438,14 @@ void OlsrNode::handle_tc(const PacketHeader& header, const TcMessage& tc,
   // The codec round-trips a parsed frame byte for byte, so the received
   // bytes with TTL and hop count patched are exactly serialize(forwarded,
   // tc) — without re-encoding every advert.
-  std::vector<std::byte> copy(bytes);
-  patch_forwarding_header(copy, static_cast<std::uint8_t>(header.ttl - 1),
+  std::vector<std::byte>& forwarded = scratch().tx;
+  forwarded.assign(bytes.begin(), bytes.end());
+  patch_forwarding_header(forwarded,
+                          static_cast<std::uint8_t>(header.ttl - 1),
                           static_cast<std::uint8_t>(header.hop_count + 1));
-  auto forwarded = make_shared_bytes(std::move(copy));
   trace_.tc_forwarded += 1;
-  trace_.control_bytes += forwarded->size();
-  medium_.broadcast(id_, std::move(forwarded));
+  trace_.control_bytes += forwarded.size();
+  medium_.broadcast(id_, forwarded);
 }
 
 void OlsrNode::send_data(NodeId destination, std::uint32_t payload_id) {
@@ -486,7 +529,9 @@ void OlsrNode::forward_or_deliver(PacketHeader header,
     mark_drop(data.payload_id, TraceStats::Journey::Drop::kNoRoute);
     return;
   }
-  medium_.unicast(id_, next, make_shared_bytes(serialize(header, data)));
+  std::vector<std::byte>& tx = scratch().tx;
+  serialize_into(tx, header, data);
+  medium_.unicast(id_, next, tx);
 }
 
 void OlsrNode::mark_drop(std::uint32_t payload_id,
@@ -556,8 +601,8 @@ void OlsrNode::schedule_topology_purge() {
   const double next = topology_.next_expiry();
   if (next == std::numeric_limits<double>::infinity()) return;
   purge_pending_ = true;
-  medium_.schedule_in(std::max(next - medium_.now(), kPurgeLag),
-                      [this] { topology_purge_tick(); });
+  medium_.arm(std::max(next - medium_.now(), kPurgeLag),
+              NodeTimer::kTopologyPurge, id_);
 }
 
 void OlsrNode::topology_purge_tick() {
@@ -573,8 +618,8 @@ void OlsrNode::topology_purge_tick() {
   const double next = topology_.next_expiry();
   if (next == std::numeric_limits<double>::infinity()) return;
   purge_pending_ = true;
-  medium_.schedule_in(std::max(next - now, kPurgeLag),
-                      [this] { topology_purge_tick(); });
+  medium_.arm(std::max(next - now, kPurgeLag), NodeTimer::kTopologyPurge,
+              id_);
 }
 
 }  // namespace qolsr

@@ -2,7 +2,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -48,7 +48,9 @@ class OlsrNode {
 
   /// The selectors and the route function are borrowed, not copied — the
   /// Simulator owns them and outlives its nodes, and `reset` can rebind
-  /// them without reconstructing the node. The deleted rvalue overloads
+  /// them without reconstructing the node. Passing the same selector
+  /// object for both roles (a protocol that floods on its own advertised
+  /// set) makes each recompute select once. The deleted rvalue overloads
   /// keep a temporary RouteFn (e.g. a lambda literal converting to
   /// std::function at the call site) from silently dangling.
   OlsrNode(NodeId id, Medium& medium, TraceStats& trace,
@@ -71,8 +73,12 @@ class OlsrNode {
              const AnsSelector& ans_selector, RouteFn&& route_fn,
              const NodeConfig& config, std::uint64_t seed) = delete;
 
-  /// Schedules the first HELLO and TC (with per-node jitter).
+  /// Arms the first HELLO and TC (with per-node jitter).
   void start();
+
+  /// Runs one of the node's timers — what the Scheduler calls when a timer
+  /// armed through it fires.
+  void on_timer(NodeTimer timer);
 
   /// Crash-fault semantics (driven by Simulator::inject): a crashed node
   /// loses all protocol soft state — neighbor tables, topology base,
@@ -103,16 +109,13 @@ class OlsrNode {
   AdversaryKind role() const { return role_; }
   void set_monitor(InvariantMonitor* monitor) { monitor_ = monitor; }
 
-  /// MAC upcall for any packet addressed to or overheard by this node:
-  /// parses `bytes`, then hands the result to on_packet.
-  void on_receive(NodeId from, const std::vector<std::byte>& bytes);
-
-  /// The reception body over an already-parsed frame — nullopt when
-  /// `bytes` failed to parse. A batched fan-out parses its shared buffer
-  /// once and calls this per receiver; `bytes` must be the frame `packet`
-  /// was parsed from (a forwarded TC is a patched copy of it).
-  void on_packet(NodeId from, const std::optional<ParsedPacket>& packet,
-                 const std::vector<std::byte>& bytes);
+  /// MAC upcall for any packet addressed to or overheard by this node,
+  /// already parsed by the caller — `packet` is null when `bytes` failed
+  /// to parse. A batched fan-out parses its shared frame once and calls
+  /// this per receiver; `bytes` must be the frame `packet` was parsed from
+  /// (a forwarded TC is a patched copy of it).
+  void on_packet(NodeId from, const ParsedPacket* packet,
+                 std::span<const std::byte> bytes);
 
   /// Injects one data packet to route toward `destination`.
   void send_data(NodeId destination, std::uint32_t payload_id);
@@ -167,10 +170,11 @@ class OlsrNode {
   void recompute_selection();
   void lie_in_tc(TcMessage& tc);
   void replay_captured_tc();
-  std::vector<LinkAdvert> build_hello_links() const;
+  /// Fills `links` from the link table.
+  void build_hello_links(std::vector<LinkAdvert>& links) const;
   void handle_hello(const HelloMessage& hello, NodeId from);
   void handle_tc(const PacketHeader& header, const TcMessage& tc,
-                 const std::vector<std::byte>& bytes, NodeId from);
+                 std::span<const std::byte> bytes, NodeId from);
   void handle_data(PacketHeader header, const DataMessage& data);
   void forward_or_deliver(PacketHeader header, const DataMessage& data);
   void mark_drop(std::uint32_t payload_id, TraceStats::Journey::Drop reason);
@@ -214,9 +218,9 @@ class OlsrNode {
   /// knowledge_: past it the cached view could include an entry the
   /// validity-aware read would exclude, so the next query rebuilds.
   double knowledge_fresh_until_ = 0.0;
-  /// Whether a topology purge event is pending on the event queue. Events
-  /// cannot be cancelled, so this stays true until the event fires; the
-  /// simulator clears the queue before reset, which resets it.
+  /// Whether a topology purge timer is armed. Timers cannot be cancelled,
+  /// so this stays true until it fires; the simulator clears the queue
+  /// before reset, which resets it.
   bool purge_pending_ = false;
 
   // ---- adversary state (inert while role_ == kHonest) -------------------

@@ -20,7 +20,10 @@ Simulator::Simulator(const Graph& graph, const AnsSelector& flooding_selector,
                      const AnsSelector& ans_selector,
                      OlsrNode::RouteFn route_fn, SimConfig config,
                      const FaultPlan* faults, const AdversarySpec* adversaries)
-    : config_(config), lossy_(*this, trace_), contended_(*this, trace_) {
+    : config_(config),
+      queue_(this),
+      lossy_(*this, trace_),
+      contended_(*this, trace_) {
   reset(graph, flooding_selector, ans_selector, std::move(route_fn),
         config.seed, faults, nullptr, adversaries);
 }
@@ -32,8 +35,9 @@ void Simulator::reset(const Graph& graph,
                       const FaultPlan* faults, const TrafficSpec* traffic,
                       const AdversarySpec* adversaries) {
   // The queued callbacks capture node pointers from the previous run; drop
-  // them before touching the node vector.
+  // them before touching the node vector. Every frame they held is free.
   queue_.reset();
+  frames_.clear();
   graph_ = &graph;
   config_.seed = seed;
   trace_ = TraceStats{};
@@ -211,33 +215,66 @@ void Simulator::inject(const FaultIncident& incident) {
   }
 }
 
-void Simulator::deliver(NodeId from, NodeId to, SharedBytes bytes) {
-  // Ideal MAC: the receiver gets the same intact buffer after the
-  // propagation delay — one immutable allocation shared across a whole
-  // broadcast fan-out, never a per-neighbor copy.
+void Simulator::deliver(NodeId from, NodeId to, FramePool::Id frame) {
+  // Ideal MAC: the receiver gets the same intact pooled frame after the
+  // propagation delay — one buffer shared across a whole transmission,
+  // never a per-neighbor copy.
   double delay = config_.propagation_delay;
   if (contended_.active()) {
-    const double queued = contended_.admit(from, to, *bytes, now());
+    const double queued =
+        contended_.admit(from, to, frames_.bytes(frame), now());
     if (queued < 0.0) return;  // tail-dropped at the link queue
     delay += queued;
   }
-  queue_.schedule_in(delay, [this, from, to, bytes = std::move(bytes)] {
-    nodes_[to]->on_receive(from, *bytes);
-  });
+  frames_.retain(frame);
+  queue_.push(now() + delay, EventKind::kDeliver, to, from, frame);
 }
 
-void Simulator::deliver_fanout(NodeId from,
-                               const std::vector<NodeId>& receivers,
-                               SharedBytes bytes) {
-  if (receivers.empty()) return;
-  queue_.schedule_in(config_.propagation_delay,
-                     [this, from, receivers, bytes = std::move(bytes)] {
-                       // Every leg carries the same immutable bytes, so
-                       // one parse serves them all.
-                       const auto packet = parse_packet(*bytes);
-                       for (const NodeId to : receivers)
-                         nodes_[to]->on_packet(from, packet, *bytes);
-                     });
+void Simulator::deliver_fanout(NodeId from, FramePool::Id frame) {
+  const bool empty = frames_.has_subset(frame)
+                         ? frames_.receivers(frame).empty()
+                         : graph_->neighbors(from).empty();
+  if (empty) return;
+  frames_.retain(frame);
+  queue_.push(now() + config_.propagation_delay, EventKind::kFanOut,
+              kInvalidNode, from, frame);
+}
+
+void Simulator::dispatch(const Event& event) {
+  switch (event.kind) {
+    case EventKind::kHelloTick:
+    case EventKind::kTcTick:
+    case EventKind::kTopologyPurge:
+      nodes_[event.node]->on_timer(static_cast<NodeTimer>(event.kind));
+      return;
+    case EventKind::kFanOut: {
+      // Every leg carries the same immutable bytes, so one parse serves
+      // them all. The slot's bytes and receiver list stay put while the
+      // handlers transmit (new frames never move a held slot).
+      const std::span<const std::byte> bytes = frames_.bytes(event.slot);
+      const ParsedPacket* packet =
+          parse_packet_into(bytes, parsed_) ? &parsed_ : nullptr;
+      if (frames_.has_subset(event.slot)) {
+        for (const NodeId to : frames_.receivers(event.slot))
+          nodes_[to]->on_packet(event.from, packet, bytes);
+      } else {
+        for (const Edge& e : graph_->neighbors(event.from))
+          nodes_[e.to]->on_packet(event.from, packet, bytes);
+      }
+      frames_.release(event.slot);
+      return;
+    }
+    case EventKind::kDeliver: {
+      const std::span<const std::byte> bytes = frames_.bytes(event.slot);
+      const ParsedPacket* packet =
+          parse_packet_into(bytes, parsed_) ? &parsed_ : nullptr;
+      nodes_[event.node]->on_packet(event.from, packet, bytes);
+      frames_.release(event.slot);
+      return;
+    }
+    case EventKind::kCallback:
+      break;  // run by the queue itself
+  }
 }
 
 }  // namespace qolsr

@@ -8,6 +8,7 @@
 #include "sim/adversary.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/fault_plan.hpp"
+#include "sim/frame_pool.hpp"
 #include "sim/invariants.hpp"
 #include "sim/lossy_medium.hpp"
 #include "sim/medium.hpp"
@@ -89,10 +90,14 @@ struct ConvergenceReport {
 /// node crashes, partitions — lives in the LossyMedium overlay the nodes
 /// transmit through. An optional FaultPlan (also borrowed) seeds the
 /// ambient loss; discrete incidents are injected mid-run via `inject`.
-class Simulator final : public Medium {
+class Simulator final : public Medium, private EventQueue::Dispatcher {
  public:
   /// An empty simulator (no nodes); bring it to life with `reset`.
-  Simulator() : lossy_(*this, trace_), contended_(*this, trace_) {}
+  Simulator()
+      : queue_(this), lossy_(*this, trace_), contended_(*this, trace_) {}
+  /// Nodes, media and queue hold references into the simulator.
+  Simulator(const Simulator&) = delete;
+  Simulator& operator=(const Simulator&) = delete;
 
   Simulator(const Graph& graph, const AnsSelector& flooding_selector,
             const AnsSelector& ans_selector, OlsrNode::RouteFn route_fn,
@@ -195,33 +200,38 @@ class Simulator final : public Medium {
   /// converged-state snapshot changed.
   std::uint64_t state_digest() const;
 
-  /// Schedules the delivery of one frame after the propagation delay —
-  /// the ideal-MAC core the LossyMedium decorator forwards surviving
-  /// frames to. With an active traffic spec the frame first passes the
-  /// capacity layer's admission: it may be tail-dropped or delayed by the
-  /// link's queue backlog on top of propagation.
-  void deliver(NodeId from, NodeId to, SharedBytes bytes);
+  /// The in-flight frames (DESIGN.md "Event vocabulary and frame pool").
+  FramePool& frames() { return frames_; }
 
-  /// Batched broadcast fan-out: one scheduled event delivering `bytes` to
-  /// every receiver, instead of one event (and one std::function
-  /// allocation) per leg. Only valid on the uncontended fast path — the
-  /// legs share one delivery time — and ordering-equivalent to per-leg
-  /// deliver calls because those would occupy contiguous sequence numbers
-  /// at the same timestamp anyway.
-  void deliver_fanout(NodeId from, const std::vector<NodeId>& receivers,
-                      SharedBytes bytes);
+  /// Schedules a kDeliver of pooled `frame` from `from` to `to` after the
+  /// propagation delay — the ideal-MAC core the LossyMedium decorator
+  /// forwards surviving legs to. With an active traffic spec the frame
+  /// first passes the capacity layer's admission: it may be tail-dropped
+  /// or delayed by the link's queue backlog on top of propagation. The
+  /// event takes its own hold on the frame.
+  void deliver(NodeId from, NodeId to, FramePool::Id frame);
+
+  /// Batched broadcast fan-out: one kFanOut event delivering `frame` to
+  /// every neighbor of `from` (or to the frame's receiver subset, when the
+  /// fault gates set one), parsed once at dispatch, instead of one event
+  /// per leg. Only valid on the uncontended fast path — the legs share one
+  /// delivery time — and ordering-equivalent to per-leg deliver calls
+  /// because those would occupy contiguous sequence numbers at the same
+  /// timestamp anyway. No event is scheduled for an empty receiver set.
+  void deliver_fanout(NodeId from, FramePool::Id frame);
 
   // -- Medium (delegates through the fault layer, so direct use of the
   // simulator as a Medium sees the same lossy world the nodes do) --
   SimTime now() const override { return queue_.now(); }
-  void schedule_in(SimTime delay, std::function<void()> callback) override {
-    queue_.schedule_in(delay, std::move(callback));
+  void arm(SimTime delay, NodeTimer timer, NodeId node) override {
+    queue_.push(now() + delay, static_cast<EventKind>(timer), node);
   }
-  void broadcast(NodeId from, SharedBytes bytes) override {
-    lossy_.broadcast(from, std::move(bytes));
+  void broadcast(NodeId from, std::span<const std::byte> bytes) override {
+    lossy_.broadcast(from, bytes);
   }
-  void unicast(NodeId from, NodeId to, SharedBytes bytes) override {
-    lossy_.unicast(from, to, std::move(bytes));
+  void unicast(NodeId from, NodeId to,
+               std::span<const std::byte> bytes) override {
+    lossy_.unicast(from, to, bytes);
   }
   const LinkQos* measured_qos(NodeId a, NodeId b) const override {
     return graph_->edge_qos(a, b);
@@ -231,9 +241,17 @@ class Simulator final : public Medium {
   }
 
  private:
+  /// Runs one typed event: a node timer, or a frame's deliveries.
+  void dispatch(const Event& event) override;
+
   const Graph* graph_ = nullptr;  ///< borrowed; alive until the next reset
   SimConfig config_;
   EventQueue queue_;
+  FramePool frames_;
+  /// Parse target of every frame event. A handler runs inside a dispatch
+  /// that reads this storage, so it may transmit (that only copies bytes
+  /// into a new pooled frame) but must never parse into it.
+  ParsedPacket parsed_;
   TraceStats trace_;
   TraceStats trace_at_convergence_;  ///< see trace_at_convergence()
   MutationClock mutations_;  ///< nodes report every state change here

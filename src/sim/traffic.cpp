@@ -151,8 +151,7 @@ void ContendedMedium::reset(const TrafficSpec* spec) {
 }
 
 double ContendedMedium::admit(NodeId from, NodeId to,
-                              const std::vector<std::byte>& bytes,
-                              double now) {
+                              std::span<const std::byte> bytes, double now) {
   const bool data = is_data_frame(bytes);
   const double frame_bytes = static_cast<double>(
       bytes.size() + (data ? spec_->packet_bytes : 0));

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -164,7 +165,7 @@ class ContendedMedium {
   /// trace counters; the caller must honor the verdict. (from, to) must be
   /// a link of the network — the only legs the fault layer delivers; a
   /// frame on any other pair has no link to queue on and is dropped.
-  double admit(NodeId from, NodeId to, const std::vector<std::byte>& bytes,
+  double admit(NodeId from, NodeId to, std::span<const std::byte> bytes,
                double now);
 
  private:

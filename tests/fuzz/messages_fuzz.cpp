@@ -1,7 +1,10 @@
 // Fuzz harness for the hardened wire codec: parse_packet (and the cheap
 // medium-layer peeks) must never crash, over-read or leak on arbitrary
 // bytes — the property the wire-corruption engine leans on when it
-// delivers bit-flipped frames to receivers.
+// delivers bit-flipped frames to receivers. parse_packet_into, the
+// reused-storage parse the simulator runs, is checked against it on every
+// input: one ParsedPacket serves the whole run, so a field that a parse
+// forgot to write would carry over from the previous frame and show.
 //
 // Two build modes from the same file:
 //
@@ -19,6 +22,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <vector>
 
 #include "proto/messages.hpp"
@@ -27,12 +31,45 @@ namespace {
 
 using qolsr::parse_packet;
 
+[[noreturn]] void fail(const char* what, std::size_t size) {
+  std::fprintf(stderr, "%s on a %zu-byte input\n", what, size);
+  std::abort();
+}
+
+/// The reused-storage parse must accept exactly what the allocating parse
+/// accepts and yield the same header and message into the one parse
+/// target every input shares (whatever frame it held before).
+void check_reused(const std::vector<std::byte>& bytes,
+                  const std::optional<qolsr::ParsedPacket>& fresh) {
+  static qolsr::ParsedPacket reused;
+  const bool accepted = qolsr::parse_packet_into(bytes, reused);
+  if (accepted != fresh.has_value())
+    fail("parse_packet_into disagrees with parse_packet on acceptance",
+         bytes.size());
+  if (!accepted) {
+    if (reused.hello.has_value() || reused.tc.has_value() ||
+        reused.data.has_value())
+      fail("a rejected parse left a message engaged", bytes.size());
+    return;
+  }
+  if (!(reused.header == fresh->header) ||
+      reused.hello.has_value() != fresh->hello.has_value() ||
+      reused.tc.has_value() != fresh->tc.has_value() ||
+      reused.data.has_value() != fresh->data.has_value())
+    fail("parse_packet_into header or message kind differs", bytes.size());
+  if ((fresh->hello.has_value() && !(*reused.hello == *fresh->hello)) ||
+      (fresh->tc.has_value() && !(*reused.tc == *fresh->tc)) ||
+      (fresh->data.has_value() && !(*reused.data == *fresh->data)))
+    fail("parse_packet_into message differs", bytes.size());
+}
+
 /// The invariant under test, applied to one input. A parse either rejects
 /// the buffer or yields a message that re-serializes to the exact input
 /// bytes (the codec has no redundant encodings), and the wire peeks agree
 /// with the full parse.
 void check_one(const std::vector<std::byte>& bytes) {
   const auto parsed = parse_packet(bytes);
+  check_reused(bytes, parsed);
   if (parsed.has_value()) {
     std::vector<std::byte> round;
     if (parsed->hello.has_value())
@@ -120,6 +157,15 @@ std::vector<std::vector<std::byte>> golden_corpus() {
   tc.advertised.push_back({3, LinkStatus::kSymmetric, qos});
   corpus.push_back(serialize(header_of(MessageType::kTc), tc));
 
+  // Longer than the HELLO: a reused advert list must shrink back.
+  TcMessage long_tc = tc;
+  long_tc.originator = 8;
+  long_tc.ansn = 65535;
+  qos.bandwidth = 1.0;
+  for (NodeId n = 10; n < 14; ++n)
+    long_tc.advertised.push_back({n, LinkStatus::kMpr, qos});
+  corpus.push_back(serialize(header_of(MessageType::kTc), long_tc));
+
   TcMessage empty_tc;
   empty_tc.originator = 1;
   corpus.push_back(serialize(header_of(MessageType::kTc), empty_tc));
@@ -141,6 +187,24 @@ int main(int argc, char** argv) {
 
   const auto corpus = golden_corpus();
   for (const auto& frame : corpus) check_one(frame);
+
+  // Every shape in turn — HELLO, TC, a longer TC, an empty TC, data — each
+  // followed by a truncated and a bit-flipped copy, so every parse into
+  // the shared target follows one of a different kind or length.
+  std::uint64_t order = 0x243f6a8885a308d3ULL;
+  for (std::size_t round = 0; round < 64; ++round) {
+    for (const auto& frame : corpus) {
+      check_one(frame);
+      std::vector<std::byte> cut = frame;
+      cut.resize(next(order) % frame.size());
+      check_one(cut);
+      std::vector<std::byte> flipped = frame;
+      const std::size_t bit = next(order) % (flipped.size() * 8);
+      flipped[bit / 8] ^=
+          std::byte{static_cast<unsigned char>(1u << (bit % 8))};
+      check_one(flipped);
+    }
+  }
 
   std::uint64_t rng = 0x6a09e667f3bcc909ULL;
   for (std::size_t i = 0; i < iterations; ++i) {

@@ -88,6 +88,13 @@ TEST(SelectorRegistry, FloodingRolesPairProtocolsWithTheirTcDissemination) {
             "olsr_mpr");
   EXPECT_THROW(r.create_flooding("no_such", MetricId::kBandwidth),
                std::invalid_argument);
+  // The same split, as the flag callers alias the two roles on.
+  EXPECT_TRUE(r.floods_on_ans("olsr_mpr"));
+  EXPECT_TRUE(r.floods_on_ans("qolsr_mpr1"));
+  EXPECT_TRUE(r.floods_on_ans("qolsr_mpr2"));
+  EXPECT_FALSE(r.floods_on_ans("topology_filtering"));
+  EXPECT_FALSE(r.floods_on_ans("fnbp"));
+  EXPECT_THROW(r.floods_on_ans("no_such"), std::invalid_argument);
 }
 
 TEST(SelectorRegistry, CustomRegistrationAndDuplicateRejection) {

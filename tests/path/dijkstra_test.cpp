@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "path/brute_force.hpp"
 #include "path/path.hpp"
+#include "support/brute_force.hpp"
 #include "support/paper_graphs.hpp"
 #include "support/random_graphs.hpp"
 

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "path/brute_force.hpp"
+#include "support/brute_force.hpp"
 #include "support/paper_graphs.hpp"
 #include "support/random_graphs.hpp"
 

@@ -13,6 +13,8 @@
 #include <vector>
 
 #include "core/fnbp.hpp"
+#include "eval/backend.hpp"
+#include "eval/experiment.hpp"
 #include "metrics/metric_id.hpp"
 #include "olsr/selector_registry.hpp"
 #include "routing/routing_table.hpp"
@@ -172,6 +174,39 @@ TEST(SelectionCache, TracksLiarRun) {
   EXPECT_EQ(check_all_nodes(sim, flooding, ans, "liar mid-cycle",
                             /*require_all=*/true),
             g.node_count());
+}
+
+TEST(SelectionCache, FloodingOnTheAnsSelectsOnce) {
+  // olsr_mpr and qolsr_mpr1/2 flood on the very set they advertise:
+  // resolve_protocols hands them one selector object for both roles, and a
+  // node given the same object twice selects once and copies the set. The
+  // held flooding set must then be the ANS exactly, and both must still
+  // match a fresh selection; the split designs keep a distinct RFC 3626
+  // flooding selector.
+  const SelectorRegistry& registry = SelectorRegistry::builtin();
+  ExperimentSpec spec;
+  spec.backend = BackendId::kPacket;
+  spec.selectors = registry.names();
+  const ResolvedProtocols protocols = resolve_protocols(spec, registry);
+  const Graph g = testing::random_geometric_graph(4321, 7.0, 250.0);
+  std::size_t aliased = 0;
+  for (std::size_t i = 0; i < spec.selectors.size(); ++i) {
+    const std::string& name = spec.selectors[i];
+    const bool own = registry.floods_on_ans(name);
+    EXPECT_EQ(protocols.flooding[i] == protocols.ans[i], own) << name;
+    if (!own) continue;
+    ++aliased;
+    const AnsSelector& selector = *protocols.ans[i];
+    Simulator sim(g, selector, selector, bandwidth_routes());
+    ASSERT_TRUE(sim.run_to_convergence().converged) << name;
+    for (NodeId u = 0; u < g.node_count(); ++u)
+      EXPECT_EQ(sim.node(u).flooding_mpr(), sim.node(u).ans())
+          << name << " node " << u;
+    EXPECT_EQ(check_all_nodes(sim, selector, selector, name,
+                              /*require_all=*/true),
+              g.node_count());
+  }
+  EXPECT_EQ(aliased, 3u);
 }
 
 }  // namespace

@@ -195,17 +195,19 @@ TEST(Simulator, BatchedFanoutCountsMalformedLikePerLegDelivery) {
   PacketHeader header;
   header.type = MessageType::kTc;
   header.originator = 1000;
-  const std::vector<SharedBytes> frames = {
-      make_shared_bytes(std::vector<std::byte>(5, std::byte{0xff})),
-      make_shared_bytes(serialize(header, foreign)),
+  const std::vector<std::vector<std::byte>> frames = {
+      std::vector<std::byte>(5, std::byte{0xff}),
+      serialize(header, foreign),
   };
   const double drain = 2.0 * sim.config().propagation_delay;
-  for (const SharedBytes& frame : frames) {
+  for (const std::vector<std::byte>& bytes : frames) {
     const std::uint64_t before = sim.trace().frames_malformed;
-    sim.deliver_fanout(hub, receivers, frame);
+    const FramePool::Id frame = sim.frames().acquire(bytes);
+    sim.deliver_fanout(hub, frame);
     sim.run_until(sim.now() + drain);
     const std::uint64_t batched = sim.trace().frames_malformed - before;
     for (const NodeId to : receivers) sim.deliver(hub, to, frame);
+    sim.frames().release(frame);
     sim.run_until(sim.now() + drain);
     const std::uint64_t per_leg =
         sim.trace().frames_malformed - before - batched;
